@@ -82,10 +82,11 @@ serve:
 	python -m repro serve --cache-dir $(REPRO_CI_CACHE_DIR)
 
 # Distributed smoke parity: the smoke grid through serial, `--hosts 2
-# --workers 2` (worker-side scoring, verdict-row payloads), a warm repeat,
-# and `--ship-summaries` must yield byte-identical verdict CSVs; the repeat
-# must simulate nothing and verdict payloads must undercut summary payloads
-# >= 5x. The measured bytes are recorded in benchmarks/out/.
+# --workers 2` (worker-side scoring, verdict-row payloads) and a warm repeat
+# must yield byte-identical verdict CSVs; the repeat must simulate nothing
+# and the verdict payload must be >= 5x smaller than the summary files the
+# workers wrote into the shared cache dir. The measured bytes are recorded
+# in benchmarks/out/.
 smoke-distrib:
 	python scripts/smoke_distrib.py --workers 2 \
 		--record benchmarks/out/distributed_sweep.txt

@@ -1,19 +1,19 @@
 #!/usr/bin/env python
 """Distributed parity + payload economics check (`make smoke-distrib`).
 
-For each requested grid, runs the sweep four ways and asserts the
+For each requested grid, runs the sweep three ways and asserts the
 distribution layer changes *nothing* about the verdicts while shrinking
 what travels:
 
 1. single-host (`hosts=1`) into its own cache dir — the reference;
-2. `hosts=2 --workers N` (verdict shipping: subprocess workers scoring
-   their own shards through parallel BatchRunner batches) — the CSV report
-   must be byte-identical to the reference;
+2. `hosts=2 --workers N` (subprocess workers scoring their own shards
+   through parallel BatchRunner batches) into a fresh shared cache dir —
+   the CSV report must be byte-identical to the reference, and the summary
+   files the workers wrote into that cache dir must outweigh the verdict
+   rows that travelled back (`done/` payload) by ≥ 5× (the whole point of
+   worker-side scoring);
 3. `hosts=2` again over the same shared cache dir — must simulate zero
-   sessions (the incremental invariant survives distribution);
-4. `hosts=2 --ship-summaries` (the legacy full-summary transport) — still
-   byte-identical, and its `done/` payload must be ≥ 5× the verdict-row
-   payload (the whole point of worker-side scoring).
+   sessions (the incremental invariant survives distribution).
 
 Exit code 0 means every check held for every grid; any drift or failure
 exits 1 with a diagnostic. With ``--record PATH`` the measured numbers are
@@ -49,7 +49,7 @@ class ParityFailure(Exception):
 
 
 def check_grid(grid: str, workers: int, base: str) -> str:
-    """Run one grid through all four topologies; returns the report section."""
+    """Run one grid through all three topologies; returns the report section."""
     scenarios = grid_scenarios(grid)
 
     serial = run_sweep(
@@ -61,10 +61,10 @@ def check_grid(grid: str, workers: int, base: str) -> str:
         raise ParityFailure(f"single-host {grid} sweep not ok:\n{serial.render()}")
     reference_csv = render_csv(serial)
 
-    shared_cache_dir = os.path.join(base, "distrib-cache")
+    shared_cache = SessionCache(directory=os.path.join(base, "distrib-cache"))
     distributed = run_sweep(
         scenarios,
-        cache=SessionCache(directory=shared_cache_dir),
+        cache=shared_cache,
         grid=grid,
         hosts=2,
         workers=workers,
@@ -83,10 +83,23 @@ def check_grid(grid: str, workers: int, base: str) -> str:
         )
     if not distributed.host_stats:
         raise ParityFailure("--hosts 2 run reported no per-host stats")
+    summary_bytes = shared_cache.disk_bytes()
+    if distributed.payload_bytes <= 0 or summary_bytes <= 0:
+        raise ParityFailure(
+            "payload accounting missing: verdict "
+            f"{distributed.payload_bytes} B, summaries {summary_bytes} B"
+        )
+    shrink = summary_bytes / distributed.payload_bytes
+    if shrink < PAYLOAD_SHRINK_FLOOR:
+        raise ParityFailure(
+            f"verdict payload only {shrink:.1f}x smaller than summaries "
+            f"({distributed.payload_bytes} vs {summary_bytes} B); "
+            f"expected >= {PAYLOAD_SHRINK_FLOOR:.0f}x"
+        )
 
     repeat = run_sweep(
         scenarios,
-        cache=SessionCache(directory=shared_cache_dir),
+        cache=SessionCache(directory=shared_cache.directory),
         grid=grid,
         hosts=2,
         workers=workers,
@@ -100,29 +113,6 @@ def check_grid(grid: str, workers: int, base: str) -> str:
         )
     if render_csv(repeat) != reference_csv:
         raise ParityFailure("verdict drift on the warm repeat")
-
-    shipped = run_sweep(
-        scenarios,
-        cache=SessionCache(directory=os.path.join(base, "shipped-cache")),
-        grid=grid,
-        hosts=2,
-        ship_summaries=True,
-        work_dir=os.path.join(base, "work-shipped"),
-    )
-    if render_csv(shipped) != reference_csv:
-        raise ParityFailure("verdict drift under --ship-summaries")
-    if distributed.payload_bytes <= 0 or shipped.payload_bytes <= 0:
-        raise ParityFailure(
-            "payload accounting missing: verdict "
-            f"{distributed.payload_bytes} B, summaries {shipped.payload_bytes} B"
-        )
-    shrink = shipped.payload_bytes / distributed.payload_bytes
-    if shrink < PAYLOAD_SHRINK_FLOOR:
-        raise ParityFailure(
-            f"verdict payload only {shrink:.1f}x smaller than summaries "
-            f"({distributed.payload_bytes} vs {shipped.payload_bytes} B); "
-            f"expected >= {PAYLOAD_SHRINK_FLOOR:.0f}x"
-        )
 
     host_bits = "; ".join(
         f"{h['worker']}: {h['sessions']} sessions in {h['wall_clock_s']:.1f}s"
@@ -140,11 +130,10 @@ def check_grid(grid: str, workers: int, base: str) -> str:
             f"  [{host_bits}]",
             f"warm repeat:                   {repeat.wall_clock_s:7.2f}s"
             "  (0 sessions simulated, 0 dispatched)",
-            f"hosts=2 --ship-summaries:      {shipped.wall_clock_s:7.2f}s",
             f"done/ payload: verdict rows {distributed.payload_bytes} B vs "
-            f"summaries {shipped.payload_bytes} B ({shrink:.1f}x smaller)",
+            f"summaries on disk {summary_bytes} B ({shrink:.1f}x smaller)",
             "verdict parity: CSV rows byte-identical across serial / "
-            f"hosts=2 workers={workers} / warm repeat / --ship-summaries",
+            f"hosts=2 workers={workers} / warm repeat",
         ]
     )
 

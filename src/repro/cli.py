@@ -17,8 +17,7 @@ Mirrors the workflows of the paper's tooling:
   pending scenarios across N worker hosts (subprocess workers over a shared
   ``--work-dir``, or any ``--transport`` backend — an HTTP shard queue on a
   ``repro serve`` instance crosses machine boundaries with no shared mount)
-  which *score worker-side* and ship only verdict rows back
-  (``--ship-summaries`` restores the full-summary payload), ``--steal``
+  which *score worker-side* and ship only verdict rows back, ``--steal``
   carves many small shards so idle/late-joining hosts rebalance,
   ``--workers M`` composes with ``--hosts`` for N×M total parallelism, and
   ``--csv`` / ``--html`` emit report files alongside the text table;
@@ -218,7 +217,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         work_dir=args.work_dir,
         transport=args.transport,
         steal=args.steal,
-        ship_summaries=args.ship_summaries,
         fast_path=not args.precise,
         **_batch_kwargs(args),
     )
@@ -423,14 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="force the per-event precise simulation path instead of the "
         "default batched fast path (verdicts are byte-identical either way; "
         "fast and precise sessions cache under distinct keys)",
-    )
-    p.add_argument(
-        "--ship-summaries",
-        action="store_true",
-        help="distributed sweeps: ship full SessionSummary pickles back "
-        "instead of the default verdict-rows-only payload (use when this "
-        "process needs the summaries themselves, e.g. to warm an in-memory "
-        "cache without a shared --cache-dir)",
     )
     p.set_defaults(func=_cmd_sweep)
 

@@ -430,12 +430,7 @@ class SessionCache:
         return entry
 
     def put(self, key: str, summary: SessionSummary, persist: bool = True) -> None:
-        """Store an entry; ``persist=False`` keeps it in memory only.
-
-        Callers that *know* the entry is already on disk (a distribution
-        coordinator merging summaries its workers persisted) pass
-        ``persist=False`` to avoid rewriting every entry a second time.
-        """
+        """Store an entry; ``persist=False`` keeps it in memory only."""
         self._entries[key] = summary
         if persist and self.directory is not None:
             self._store_to_disk(key, summary)
@@ -443,6 +438,20 @@ class SessionCache:
     def has_on_disk(self, key: str) -> bool:
         """True when a file for ``key`` exists (contents not validated)."""
         return self.directory is not None and os.path.exists(self._path(key))
+
+    def disk_bytes(self) -> int:
+        """Total size of the entry files on disk (0 without a directory).
+
+        The bytes a sweep's summaries occupy — what the distribution
+        payload checks weigh the shipped verdict rows against.
+        """
+        if self.directory is None:
+            return 0
+        return sum(
+            os.path.getsize(os.path.join(self.directory, name))
+            for name in os.listdir(self.directory)
+            if name.endswith(".summary.pkl")
+        )
 
     def probe(self, key: str) -> bool:
         """Cheap presence check: no loading, no hit/miss accounting.

@@ -1,12 +1,12 @@
-"""Cross-host sweep distribution: shard, execute anywhere, merge.
+"""Cross-host sweep distribution: shard, execute and score anywhere, merge.
 
 The spec/summary boundary is picklable and the :class:`SessionCache` is
 content-keyed on disk, so a sweep no longer has to run on one host: this
-module shards a batch's *pending* :class:`SessionSpec`s (the ones the cache
-cannot serve) across worker hosts by :meth:`SessionSpec.estimated_cost`
-(longest-expected-first, balanced bins), executes each shard through the
-existing :class:`~repro.experiments.batch.BatchRunner`, and merges the
-returned :class:`SessionSummary`s back into one result.
+module shards a sweep's *pending* scenarios (the ones the cache cannot
+serve) across worker hosts by estimated cost (longest-expected-first,
+balanced bins, shared goldens grouped), executes and scores each shard
+through the existing :class:`~repro.experiments.batch.BatchRunner`, and
+merges the returned verdict rows back into one result.
 
 The protocol surface itself —
 claim/requeue/done/heartbeat/STOP — is the pluggable
@@ -43,21 +43,13 @@ local worker pool dies entirely, the coordinator drains the remaining
 shards inline, so a sweep completes as long as the coordinator itself
 survives.
 
-Two payload modes ride on the same protocol:
-
-* **summary shipping** (:meth:`Coordinator.run`) — shards are flat
-  :class:`SessionSpec` lists and workers ship back full
-  :class:`SessionSummary` pickles. This is what direct-scoring callers
-  (and ``repro sweep --ship-summaries``) use: the coordinator ends up
-  holding every capture and fan profile.
-* **verdict shipping** (:meth:`Coordinator.run_scored`) — shards are
-  scenario-level :class:`ScenarioJob`\\ s carrying a picklable
-  :class:`~repro.detection.protocol.ScoreSpec`; the worker executes *and
-  scores* each scenario, and the ``done/`` payload is verdict rows plus
-  per-session :class:`SessionDigest` metadata — orders of magnitude
-  smaller than summaries for big grids, since transaction streams and fan
-  profiles never travel (full summaries still land in the shared
-  ``--cache-dir``, written by the workers themselves).
+Shards are scenario-level :class:`ScenarioJob`\\ s carrying a picklable
+:class:`~repro.detection.protocol.ScoreSpec`; the worker executes *and
+scores* each scenario, and the ``done/`` payload is verdict rows plus
+per-session :class:`SessionDigest` metadata — orders of magnitude smaller
+than full summaries for big grids, since transaction streams and fan
+profiles never travel. Full summaries land only in the shared
+``--cache-dir``, written by the workers themselves.
 
 Each worker runs its whole shard through one *parallel*
 :class:`~repro.experiments.batch.BatchRunner` batch (``--hosts N`` and
@@ -67,8 +59,7 @@ forward progress mid-shard.
 
 Entry points:
 
-* :func:`run_distributed` / :func:`run_distributed_scored` /
-  :class:`Coordinator` — what ``repro sweep --hosts N`` drives;
+* :class:`Coordinator` — what ``repro sweep --hosts N`` drives;
 * :class:`Worker` — the claim/execute/report loop behind the standalone
   ``repro worker <target>`` command, which is how real remote hosts join
   a sweep (point them at a shared work dir — or the coordinator's
@@ -127,16 +118,18 @@ __all__ = [  # re-exports: the wire layer moved to transport.py in PR 10
     "WorkDir",
     "Worker",
     "Coordinator",
-    "run_distributed",
-    "run_distributed_scored",
 ]
 
 PAYLOAD_SHRINK_FLOOR = 5.0
-"""Verdict shipping must undercut summary shipping by at least this factor.
+"""Verdict rows must undercut the summaries they stand in for by this factor.
 
-The policy number the CI parity script and the distribution benchmark both
-enforce; it lives here so retuning it (e.g. after a summary-schema change)
-cannot desynchronize the two checks.
+A distributed sweep's ``payload_bytes`` (the verdict rows that travelled
+back) is compared against the size of the summary files its workers wrote
+into the sweep's fresh shared cache dir — the bytes that would have
+travelled had the workers shipped full summaries. The policy number the CI
+parity script, the distribution benchmark and the payload test all enforce;
+it lives here so retuning it (e.g. after a summary-schema change) cannot
+desynchronize the checks.
 """
 
 STEAL_SHARD_FACTOR = 4
@@ -165,8 +158,8 @@ class SessionDigest:
     Everything the sweep/report layer reads off a scored scenario's
     sessions — status, duration, failure text — without the transaction
     stream, deposition trace, or fan profile that make full summaries
-    heavy. This is the per-session metadata that travels in verdict-
-    shipping mode.
+    heavy. This is the per-session metadata that travels back from a
+    worker.
     """
 
     label: str
@@ -255,62 +248,42 @@ def _score_job(
 
 @dataclass(frozen=True)
 class WorkShard:
-    """One worker-sized slice of a batch.
-
-    Exactly one of ``specs`` (summary-shipping mode) or ``jobs``
-    (verdict-shipping mode) is non-empty; the worker picks its execution
-    path off which one it finds.
-    """
+    """One worker-sized slice of a sweep: the scenario jobs to run and score."""
 
     shard_id: int
-    specs: Tuple[SessionSpec, ...] = ()
     jobs: Tuple[ScenarioJob, ...] = ()
-
-    def estimated_cost(self) -> float:
-        return sum(spec.estimated_cost() for spec in self.specs) + sum(
-            job.estimated_cost() for job in self.jobs
-        )
 
 
 @dataclass
 class ShardResult:
     """What a worker ships back for one executed shard.
 
-    ``summaries`` is populated in summary-shipping mode, ``rows`` in
-    verdict-shipping mode. ``session_count`` is the number of unique
-    sessions the worker handled for this shard (for per-host economics);
-    when ``None`` (older callers/tests) it falls back to
-    ``len(summaries)``.
+    ``rows`` holds one :class:`ScenarioVerdicts` per job; ``sessions`` is
+    the number of unique sessions the worker handled for this shard (for
+    per-host economics).
     """
 
     shard_id: int
     worker_id: str
-    summaries: List[SessionSummary]
     wall_clock_s: float
     rows: List[ScenarioVerdicts] = field(default_factory=list)
-    session_count: Optional[int] = None
-
-    @property
-    def sessions(self) -> int:
-        if self.session_count is not None:
-            return self.session_count
-        return len(self.summaries)
+    sessions: int = 0
 
     @property
     def failures(self) -> int:
         """Unique failed sessions in this shard.
 
         Keyed by spec key so a failed golden shared by several scenario
-        rows counts once, matching how summary mode counts it.
+        rows counts once.
         """
-        failed = {s.spec_key for s in self.summaries if s.failed}
-        failed.update(
-            digest.spec_key
-            for row in self.rows
-            for digest in (row.golden, row.suspect)
-            if digest.failed
+        return len(
+            {
+                digest.spec_key
+                for row in self.rows
+                for digest in (row.golden, row.suspect)
+                if digest.failed
+            }
         )
-        return len(failed)
 
 
 def _lpt_bins(items: Sequence[Any], bins: int, cost) -> List[List[Any]]:
@@ -328,13 +301,6 @@ def _lpt_bins(items: Sequence[Any], bins: int, cost) -> List[List[Any]]:
         out[lightest].append(items[index])
         loads[lightest] += cost(items[index])
     return [group for group in out if group]
-
-
-def balanced_shards(
-    specs: Sequence[SessionSpec], bins: int
-) -> List[List[SessionSpec]]:
-    """Split specs into ≤ ``bins`` cost-balanced groups, longest-first."""
-    return _lpt_bins(specs, bins, lambda spec: spec.estimated_cost())
 
 
 def _group_cost(jobs: Sequence[ScenarioJob]) -> float:
@@ -452,7 +418,7 @@ class WorkDir(Transport):
         """Clear a previous sweep's protocol state from a reused work dir.
 
         Stale ``done/`` files would satisfy this run's shard ids with old
-        summaries, a stale ``STOP`` would make joining workers exit
+        verdicts, a stale ``STOP`` would make joining workers exit
         immediately, and stale claims would be pointlessly re-queued — so
         the coordinator wipes all of them before enqueueing (one sweep per
         work dir at a time; logs are kept, they only ever append).
@@ -663,9 +629,8 @@ class Worker:
     cost-scheduled within the shard, failure-isolated (a raising session
     becomes a FAILED summary, never a dead worker) — ticking its heartbeat
     from the batch's per-session completion callback, so the coordinator
-    sees forward progress even while the whole shard is in flight. A
-    scenario shard (verdict-shipping mode) is additionally *scored* here:
-    detectors are built from the shipped
+    sees forward progress even while the whole shard is in flight. Each
+    scenario is then *scored* here: detectors are built from the shipped
     :class:`~repro.detection.protocol.ScoreSpec` and only verdict rows +
     session digests travel back. Exits when the coordinator writes
     ``STOP``, or — with ``idle_timeout_s`` — after the queue has stayed
@@ -746,57 +711,35 @@ class Worker:
         self.work.beat(self.worker_id)
 
     def execute(self, claim: Claim) -> ShardResult:
-        """Run (and, for scenario shards, score) one claimed shard."""
+        """Run and score one claimed shard."""
         # repro: lint-ignore[DET003] shard wall-clock economics (host_stats reporting), never verdict content
         started = time.perf_counter()
         self.work.beat(self.worker_id)
-        shard = claim.shard
-        summaries: List[SessionSummary] = []
+        jobs = claim.shard.jobs
+        specs = [spec for job in jobs for spec in (job.golden, job.suspect)]
+        executed = self.runner.run(specs, progress=self._beat)
         rows: List[ScenarioVerdicts] = []
-        if shard.jobs:
-            specs = [
-                spec for job in shard.jobs for spec in (job.golden, job.suspect)
-            ]
-            executed = self.runner.run(specs, progress=self._beat)
-            for job, golden, suspect in zip(
-                shard.jobs, executed[0::2], executed[1::2]
-            ):
-                # Scoring a big shard takes real wall clock after the last
-                # session completes; keep beating so the coordinator's
-                # staleness window stays bounded by one scenario, not one
-                # shard.
-                self.work.beat(self.worker_id)
-                rows.append(_score_job(job, golden, suspect))
-        else:
-            specs = list(shard.specs)
-            summaries = self.runner.run(specs, progress=self._beat)
+        for job, golden, suspect in zip(jobs, executed[0::2], executed[1::2]):
+            # Scoring a big shard takes real wall clock after the last
+            # session completes; keep beating so the coordinator's
+            # staleness window stays bounded by one scenario, not one
+            # shard.
+            self.work.beat(self.worker_id)
+            rows.append(_score_job(job, golden, suspect))
         result = ShardResult(
-            shard_id=shard.shard_id,
+            shard_id=claim.shard.shard_id,
             worker_id=self.worker_id,
-            summaries=summaries,
             wall_clock_s=time.perf_counter() - started,  # repro: lint-ignore[DET003] economics
             rows=rows,
-            session_count=len({spec.content_key() for spec in specs}),
+            sessions=len({spec.content_key() for spec in specs}),
         )
         self.work.complete(claim, result)
         return result
 
 
 @dataclass
-class DistributedResult:
-    """Merged outcome of one distributed batch (summary-shipping mode)."""
-
-    summaries: List[SessionSummary]
-    host_stats: List[Dict[str, Any]] = field(default_factory=list)
-    requeues: int = 0
-    shards: int = 0
-    sessions_dispatched: int = 0
-    payload_bytes: int = 0
-
-
-@dataclass
 class ScoredResult:
-    """Merged outcome of one distributed *scored* sweep (verdict shipping).
+    """Merged outcome of one distributed sweep.
 
     ``rows`` is ordered by job index — one entry per input scenario job,
     whether it was scored worker-side or (cache-served pairs) by the
@@ -813,7 +756,7 @@ class ScoredResult:
 
 
 class Coordinator:
-    """Shard a batch across worker hosts and merge the summaries back.
+    """Shard a sweep's scenario jobs across worker hosts; merge their verdicts.
 
     With ``spawn_local=True`` (the default) the coordinator spawns
     ``hosts`` local worker subprocesses (``repro worker <work-dir>``) — the
@@ -880,72 +823,7 @@ class Coordinator:
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
-    def run(self, specs: Sequence[SessionSpec]) -> DistributedResult:
-        """Execute all specs; summaries come back in the order specs were given.
-
-        Mirrors :meth:`BatchRunner.run`'s contract: duplicates are executed
-        once, cache-eligible keys are served from / stored to the cache
-        (failures excepted), and dedup/cache hits are relabeled per spec.
-        Only the *pending* specs — the ones the cache cannot serve — are
-        sharded out, which is what makes a repeat distributed sweep over a
-        warm cache dir a zero-worker no-op.
-        """
-        keys = [spec.content_key() for spec in specs]
-        cacheable_keys = {key for key, spec in zip(keys, specs) if spec.cacheable}
-        results: Dict[str, SessionSummary] = {}
-
-        pending: List[Tuple[str, SessionSpec]] = []
-        seen = set()
-        for key, spec in zip(keys, specs):
-            if key in seen:
-                continue
-            seen.add(key)
-            if self.cache is not None and key in cacheable_keys:
-                hit = self.cache.get(key)
-                if hit is not None:
-                    results[key] = hit
-                    continue
-            pending.append((key, spec))
-
-        host_stats: List[Dict[str, Any]] = []
-        requeues = 0
-        shard_count = 0
-        payload_bytes = 0
-        if pending:
-            executed, host_stats, requeues, shard_count, payload_bytes = (
-                self._distribute([spec for _, spec in pending])
-            )
-            for key, spec in pending:
-                summary = executed[key]
-                results[key] = summary
-                if (
-                    self.cache is not None
-                    and key in cacheable_keys
-                    and not summary.failed
-                ):
-                    # Workers sharing the cache directory already persisted
-                    # their summaries; rewrite only what's missing (e.g. an
-                    # external worker run without --cache-dir).
-                    self.cache.put(
-                        key, summary, persist=not self.cache.has_on_disk(key)
-                    )
-
-        out: List[SessionSummary] = []
-        for key, spec in zip(keys, specs):
-            summary = results[key]
-            if summary.label != spec.label:
-                summary = summary.relabeled(spec.label)
-            out.append(summary)
-        return DistributedResult(
-            summaries=out,
-            host_stats=host_stats,
-            requeues=requeues,
-            shards=shard_count,
-            sessions_dispatched=len(pending),
-            payload_bytes=payload_bytes,
-        )
-
-    def run_scored(self, jobs: Sequence[ScenarioJob]) -> ScoredResult:
+    def run(self, jobs: Sequence[ScenarioJob]) -> ScoredResult:
         """Execute and *score* scenario jobs; only verdict rows travel back.
 
         The cache is *probed* (presence only, nothing deserialized) once
@@ -1102,28 +980,6 @@ class Coordinator:
     # ------------------------------------------------------------------
     # The distribution loop
     # ------------------------------------------------------------------
-    def _distribute(
-        self, specs: Sequence[SessionSpec]
-    ) -> Tuple[Dict[str, SessionSummary], List[Dict[str, Any]], int, int, int]:
-        """Summary-shipping mode: shard flat specs, merge full summaries."""
-        shards = {
-            index: WorkShard(shard_id=index, specs=tuple(group))
-            for index, group in enumerate(balanced_shards(specs, self._bins()))
-        }
-        done, host_stats, requeues, payload_bytes = self._drive(shards)
-        executed: Dict[str, SessionSummary] = {}
-        for result in done.values():
-            for summary in result.summaries:
-                executed[summary.spec_key] = summary
-        missing = [spec for spec in specs if spec.content_key() not in executed]
-        if missing:
-            # Shouldn't happen (every shard is accounted for above), but a
-            # protocol bug must degrade to local execution, not a KeyError.
-            runner = BatchRunner(workers=self.workers, cache=self.cache)
-            for summary in runner.run(missing):
-                executed[summary.spec_key] = summary
-        return executed, host_stats, requeues, len(shards), payload_bytes
-
     def _drive(
         self, shards: Dict[int, WorkShard]
     ) -> Tuple[Dict[int, ShardResult], List[Dict[str, Any]], int, int]:
@@ -1131,7 +987,7 @@ class Coordinator:
 
         Returns the collected shard results plus per-host economics, the
         dead-worker re-queue count, and the total ``done/`` payload bytes
-        that travelled back (the number verdict shipping exists to shrink).
+        that travelled back.
         """
         created_tmp = False
         tmp_root: Optional[str] = None
@@ -1383,30 +1239,3 @@ class Coordinator:
                 proc.kill()
                 proc.wait()
 
-
-def run_distributed(
-    specs: Sequence[SessionSpec],
-    hosts: int = 2,
-    cache: CacheOption = None,
-    work_dir: Optional[str] = None,
-    **coordinator_kwargs: Any,
-) -> DistributedResult:
-    """Convenience wrapper: one batch through a fresh :class:`Coordinator`."""
-    coordinator = Coordinator(
-        hosts=hosts, cache=cache, work_dir=work_dir, **coordinator_kwargs
-    )
-    return coordinator.run(specs)
-
-
-def run_distributed_scored(
-    jobs: Sequence[ScenarioJob],
-    hosts: int = 2,
-    cache: CacheOption = None,
-    work_dir: Optional[str] = None,
-    **coordinator_kwargs: Any,
-) -> ScoredResult:
-    """Convenience wrapper: one scored sweep through a fresh :class:`Coordinator`."""
-    coordinator = Coordinator(
-        hosts=hosts, cache=cache, work_dir=work_dir, **coordinator_kwargs
-    )
-    return coordinator.run_scored(jobs)

@@ -666,7 +666,6 @@ def run_sweep(
     work_dir: Optional[str] = None,
     transport: Optional[str] = None,
     steal: bool = False,
-    ship_summaries: bool = False,
     fast_path: bool = True,
     progress: Optional[Callable[[SessionSummary], None]] = None,
 ) -> SweepResult:
@@ -688,13 +687,9 @@ def run_sweep(
     ``hosts × workers``. ``steal=True`` carves many small shards instead
     of one per host, so idle and late-joining workers rebalance a
     straggling sweep by claiming from the shared queue — verdicts are
-    byte-identical either way. By
-    default the workers also *score* their scenarios and ship back only
-    verdict rows + session digests (full summaries persist in the shared
-    cache directory, written by the workers); ``ship_summaries=True``
-    restores the old full-summary transport — needed when the caller wants
-    the summaries themselves (or runs without a shared cache *directory*
-    and wants this process's in-memory cache warmed). Either way the
+    byte-identical either way. The workers also *score* their scenarios
+    and ship back only verdict rows + session digests; full summaries
+    persist in the shared cache directory, written by the workers. The
     verdicts are identical to a single-host run by construction, and the
     result additionally carries per-host economics (``host_stats``), the
     dead-worker re-queue count, and the ``done/`` payload byte count.
@@ -723,8 +718,8 @@ def run_sweep(
     payload_mode = ""
     payload_bytes = 0
     simulated_override: Optional[int] = None
-    if hosts and hosts > 1 and not ship_summaries:
-        from repro.experiments.distrib import ScenarioJob, run_distributed_scored
+    if hosts and hosts > 1:
+        from repro.experiments.distrib import Coordinator, ScenarioJob
 
         jobs = [
             ScenarioJob(
@@ -738,10 +733,10 @@ def run_sweep(
                 zip(scenarios, pairs)
             )
         ]
-        scored = run_distributed_scored(
-            jobs, hosts=hosts, cache=resolved, work_dir=work_dir,
+        scored = Coordinator(
+            hosts=hosts, cache=resolved, work_dir=work_dir,
             workers=workers, transport=transport, steal=steal,
-        )
+        ).run(jobs)
         outcomes = [
             ScenarioOutcome(scenario, row.golden, row.suspect, row.verdicts)
             for scenario, row in zip(scenarios, scored.rows)
@@ -755,22 +750,9 @@ def run_sweep(
         # dispatch count, not this cache instance's miss delta.
         simulated_override = scored.sessions_dispatched
     else:
-        if hosts and hosts > 1:
-            from repro.experiments.distrib import run_distributed
-
-            distributed = run_distributed(
-                specs, hosts=hosts, cache=resolved, work_dir=work_dir,
-                workers=workers, transport=transport, steal=steal,
-            )
-            summaries = distributed.summaries
-            host_stats = distributed.host_stats
-            requeues = distributed.requeues
-            payload_mode = "summaries"
-            payload_bytes = distributed.payload_bytes
-        else:
-            summaries = run_sessions(
-                specs, workers=workers, cache=resolved, progress=progress
-            )
+        summaries = run_sessions(
+            specs, workers=workers, cache=resolved, progress=progress
+        )
         runs = _pair_runs(scenarios, summaries)
         outcomes = [
             ScenarioOutcome(run.scenario, run.golden, run.suspect, _score_run(run))

@@ -50,14 +50,16 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
 
-WIRE_FORMAT = 3
+WIRE_FORMAT = 4
 """Shard-queue payload format version.
 
 Bumped whenever the pickled shard/result schema — or the protocol the
 envelope travels through — changes shape (2: shards may carry scenario
 jobs, results verdict rows + digests; 3: payloads travel over pluggable
 transports, claims are transport tokens rather than claim-file paths, and
-shard queues may be served over HTTP). A payload whose envelope names a
+shard queues may be served over HTTP; 4: shards carry only scenario jobs
+and results only verdict rows — the summary-shipping fields are gone). A
+payload whose envelope names a
 *different* version is a protocol-level incompatibility — some host is
 running different code — and raises :class:`WireFormatError` rather than
 being quietly re-queued: silent re-queueing of a version skew loops

@@ -2,9 +2,8 @@
 
 The properties that make ``repro sweep --hosts N [--workers M]`` trustworthy:
 
-* cost-balanced, deterministic sharding — spec-level LPT for summary
-  shipping, golden-grouped scenario LPT (with host-filling splits) for
-  verdict shipping;
+* cost-balanced, deterministic sharding — golden-grouped scenario LPT
+  with host-filling splits;
 * the pending/claimed/done protocol is race-free and torn-write-safe
   (every transition is an atomic rename), and a *version-skewed* payload
   fails loud instead of being executed, merged, or silently re-queued;
@@ -33,8 +32,9 @@ import pytest
 from repro.detection.protocol import ScoreSpec
 from tests.conftest import corrupt_file, corrupt_pickle
 from repro.errors import ReproError
-from repro.experiments.batch import run_sessions
+from repro.experiments.batch import SessionCache, run_sessions
 from repro.experiments.distrib import (
+    PAYLOAD_SHRINK_FLOOR,
     WIRE_FORMAT,
     Coordinator,
     ScenarioJob,
@@ -44,9 +44,6 @@ from repro.experiments.distrib import (
     WorkDir,
     WorkShard,
     Worker,
-    balanced_shards,
-    run_distributed,
-    run_distributed_scored,
     sanitize_worker_id,
     scenario_shards,
 )
@@ -75,40 +72,26 @@ def _job(index, spec, *, name=None, golden=None, detectors=("golden",), **suspec
     )
 
 
-class TestBalancedShards:
-    def test_covers_every_spec_exactly_once(self, spec):
-        specs = [
-            spec(noise_sigma=0.0005, noise_seed=i, label=f"s{i}") for i in range(5)
-        ]
-        groups = balanced_shards(specs, 2)
-        flat = [s for group in groups for s in group]
-        assert sorted(s.label for s in flat) == sorted(s.label for s in specs)
-        assert len(groups) == 2
+# Simulation is deterministic, so one in-process cache serves every test's
+# local reference runs.
+_REFERENCE = SessionCache()
 
-    def test_never_more_bins_than_specs(self, spec):
-        assert len(balanced_shards([spec(label="only")], 8)) == 1
 
-    def test_lpt_balances_uneven_costs(self, spec):
-        # grace_s dominates estimated_cost at +40/s, giving controlled costs.
-        specs = [
-            spec(grace_s=grace, label=label)
-            for grace, label in ((80.0, "huge"), (50.0, "big"),
-                                 (30.0, "mid1"), (30.0, "mid2"), (10.0, "small"))
-        ]
-        groups = balanced_shards(specs, 2)
-        loads = [sum(s.estimated_cost() for s in group) for group in groups]
-        # LPT guarantee: the spread never exceeds the largest single cost.
-        assert abs(loads[0] - loads[1]) <= max(s.estimated_cost() for s in specs)
-        # The most expensive spec is placed first, alone in its bin so far.
-        assert groups[0][0].label == "huge"
-
-    def test_deterministic(self, spec):
-        specs = [
-            spec(noise_sigma=0.0005, noise_seed=i, label=f"s{i}") for i in range(6)
-        ]
-        first = [[s.label for s in g] for g in balanced_shards(specs, 3)]
-        second = [[s.label for s in g] for g in balanced_shards(specs, 3)]
-        assert first == second
+def _assert_rows_match_local(rows, jobs):
+    """Distributed rows equal scoring every job's sessions in-process."""
+    assert [row.index for row in rows] == [job.index for job in jobs]
+    summaries = run_sessions(
+        [s for job in jobs for s in (job.golden, job.suspect)], cache=_REFERENCE
+    )
+    for row, job, golden, suspect in zip(
+        rows, jobs, summaries[0::2], summaries[1::2]
+    ):
+        local = job.score.score_pair(golden, suspect)
+        assert {k: v.as_dict() for k, v in row.verdicts.items()} == {
+            k: v.as_dict() for k, v in local.items()
+        }
+        assert row.golden == SessionDigest.from_summary(golden)
+        assert row.suspect == SessionDigest.from_summary(suspect)
 
 
 class TestScenarioSharding:
@@ -168,18 +151,18 @@ class TestWorkerIds:
 class TestWorkDirProtocol:
     def test_enqueue_claim_complete_roundtrip(self, spec, tmp_path):
         work = WorkDir(str(tmp_path))
-        shard = WorkShard(3, (spec(label="x"),))
+        shard = WorkShard(3, (_job(3, spec, name="x"),))
         work.enqueue(shard)
         assert work.pending_files() == ["shard-0003.pkl"]
 
         claim = work.claim("shard-0003.pkl", "w1")
         assert claim is not None
         assert claim.shard.shard_id == 3
-        assert claim.shard.specs[0].label == "x"
+        assert claim.shard.jobs[0].name == "x"
         assert work.pending_files() == []
         assert work.claims() == [(3, "w1", claim.path)]
 
-        result = ShardResult(3, "w1", [], 0.5)
+        result = ShardResult(3, "w1", 0.5)
         work.complete(claim, result)
         assert work.done_ids() == [3]
         assert work.claims() == []  # claim file removed on completion
@@ -190,20 +173,20 @@ class TestWorkDirProtocol:
 
     def test_claim_is_exclusive(self, spec, tmp_path):
         work = WorkDir(str(tmp_path))
-        work.enqueue(WorkShard(0, (spec(),)))
+        work.enqueue(WorkShard(0, (_job(0, spec),)))
         assert work.claim("shard-0000.pkl", "w1") is not None
         assert work.claim("shard-0000.pkl", "w2") is None
 
     def test_requeue_restores_pending(self, spec, tmp_path):
         work = WorkDir(str(tmp_path))
-        work.enqueue(WorkShard(0, (spec(label="re"),)))
+        work.enqueue(WorkShard(0, (_job(0, spec, name="re"),)))
         claim = work.claim("shard-0000.pkl", "dead-worker")
         assert work.pending_files() == []
         assert work.requeue(claim.path)
         assert work.pending_files() == ["shard-0000.pkl"]
         # Another worker can now claim the restored shard intact.
         reclaimed = work.claim("shard-0000.pkl", "w2")
-        assert reclaimed.shard.specs[0].label == "re"
+        assert reclaimed.shard.jobs[0].name == "re"
 
     def test_corrupt_shard_is_dropped_not_executed(self, tmp_path):
         work = WorkDir(str(tmp_path))
@@ -235,10 +218,10 @@ class TestWorkDirProtocol:
 
     def test_reset_clears_previous_sweep_state(self, spec, tmp_path):
         work = WorkDir(str(tmp_path))
-        work.enqueue(WorkShard(0, (spec(),)))
+        work.enqueue(WorkShard(0, (_job(0, spec),)))
         claim = work.claim("shard-0000.pkl", "w1")
-        work.complete(claim, ShardResult(0, "w1", [], 0.1))
-        work.enqueue(WorkShard(1, (spec(),)))
+        work.complete(claim, ShardResult(0, "w1", 0.1))
+        work.enqueue(WorkShard(1, (_job(1, spec),)))
         work.claim("shard-0001.pkl", "w1")
         work.beat("w1")
         work.stop()
@@ -273,7 +256,7 @@ class TestWireFormatSkew:
 
     def test_collect_done_fails_loud_never_requeues(self, spec, tmp_path):
         work = WorkDir(str(tmp_path))
-        shards = {0: WorkShard(0, (spec(),))}
+        shards = {0: WorkShard(0, (_job(0, spec),))}
         self._write_envelope(
             os.path.join(str(tmp_path), "done", "shard-0000.pkl"), WIRE_FORMAT + 1
         )
@@ -286,7 +269,7 @@ class TestWireFormatSkew:
 
     def test_corrupt_done_degrades_to_requeue(self, spec, tmp_path):
         work = WorkDir(str(tmp_path))
-        shards = {0: WorkShard(0, (spec(),))}
+        shards = {0: WorkShard(0, (_job(0, spec),))}
         corrupt_file(
             os.path.join(str(tmp_path), "done", "shard-0000.pkl"),
             b"torn write garbage",
@@ -324,28 +307,26 @@ class TestWireFormatSkew:
 
     def test_same_version_payload_roundtrips(self, spec, tmp_path):
         work = WorkDir(str(tmp_path))
-        work.enqueue(WorkShard(0, (spec(label="ok"),)))
+        work.enqueue(WorkShard(0, (_job(0, spec, name="ok"),)))
         claim = work.claim("shard-0000.pkl", "w1")
-        assert claim is not None and claim.shard.specs[0].label == "ok"
+        assert claim is not None and claim.shard.jobs[0].name == "ok"
 
 
 @pytest.mark.slow
 class TestWorker:
     def test_executes_claimed_shard_and_publishes(self, spec, tmp_path):
         work = WorkDir(str(tmp_path / "work"))
-        one = spec(label="one")
-        work.enqueue(WorkShard(0, (one,)))
+        jobs = (_job(0, spec),)
+        work.enqueue(WorkShard(0, jobs))
         worker = Worker(work, worker_id="w1", idle_timeout_s=0.0)
         assert worker.run() == 1
         result = work.load_result(0)
         assert result.worker_id == "w1"
-        assert [s.label for s in result.summaries] == ["one"]
-        assert result.summaries[0].completed
         assert result.failures == 0
-        assert result.sessions == 1
+        assert result.sessions == 2
         assert work.heartbeat_age_s("w1") is not None
-        # Parity with an in-process run of the same spec.
-        assert result.summaries[0].transactions == run_sessions([one])[0].transactions
+        # Parity with an in-process run and scoring of the same jobs.
+        _assert_rows_match_local(result.rows, jobs)
 
     def test_scenario_shard_ships_verdict_rows_not_summaries(self, spec, tmp_path):
         work = WorkDir(str(tmp_path / "work"))
@@ -353,7 +334,6 @@ class TestWorker:
         work.enqueue(WorkShard(0, jobs=(job,)))
         assert Worker(work, worker_id="w1", idle_timeout_s=0.0).run() == 1
         result = work.load_result(0)
-        assert result.summaries == []  # nothing heavy travelled
         assert len(result.rows) == 1
         row = result.rows[0]
         assert row.index == 7
@@ -427,12 +407,15 @@ class TestWorker:
         self, spec, tmp_path
     ):
         work = WorkDir(str(tmp_path / "work"))
-        work.enqueue(WorkShard(0, (spec(trojan_id="T999", label="boom"),)))
+        jobs = (_job(0, spec, golden=spec(trojan_id="T999")),)
+        work.enqueue(WorkShard(0, jobs))
         assert Worker(work, worker_id="w1", idle_timeout_s=0.0).run() == 1
         result = work.load_result(0)
         assert result.failures == 1
-        assert result.summaries[0].failed
-        assert "T999" in result.summaries[0].error
+        row = result.rows[0]
+        assert row.golden.failed and "T999" in row.golden.error
+        assert all("session failed" in v.detail for v in row.verdicts.values())
+        _assert_rows_match_local(result.rows, jobs)
 
     def test_crashing_scenario_session_becomes_failed_digest(self, spec, tmp_path):
         work = WorkDir(str(tmp_path / "work"))
@@ -457,7 +440,7 @@ class TestWorker:
         # Shards orphaned by an aborted coordinator are abandoned work:
         # a worker must exit on STOP without executing them.
         work = WorkDir(str(tmp_path / "work"))
-        work.enqueue(WorkShard(0, (spec(label="orphan"),)))
+        work.enqueue(WorkShard(0, (_job(0, spec, name="orphan"),)))
         work.stop()
         assert Worker(work, worker_id="w1").run() == 0
         assert work.done_ids() == []
@@ -471,20 +454,20 @@ class TestHeartbeatUnderParallelism:
         keep ticking mid-shard: the per-session progress callback is what
         keeps a live worker from reading as wedged."""
         work = WorkDir(str(tmp_path / "work"))
-        specs = tuple(
-            spec(noise_sigma=0.0005, noise_seed=50 + i, label=f"s{i}")
-            for i in range(3)
-        )
-        work.enqueue(WorkShard(0, specs=specs))
+        jobs = tuple(_job(i, spec, noise_seed=50 + i) for i in range(2))
+        work.enqueue(WorkShard(0, jobs))
         worker = Worker(work, worker_id="w1", idle_timeout_s=0.0, workers=2)
         claim = work.claim("shard-0000.pkl", "w1")
         beats = []
         original = work.beat
         work.beat = lambda worker_id: (beats.append(worker_id), original(worker_id))
-        worker.execute(claim)
-        # One beat at shard start + one per completed session.
-        assert len(beats) == 1 + len(specs)
+        result = worker.execute(claim)
+        # One beat at shard start + one per completed session (the shared
+        # golden executes once) + one per scored job.
+        assert result.sessions == 1 + len(jobs)
+        assert len(beats) == 1 + result.sessions + len(jobs)
         assert set(beats) == {"w1"}
+        _assert_rows_match_local(result.rows, jobs)
 
     def test_advancing_heartbeat_survives_any_shard_length(
         self, tmp_path, monkeypatch
@@ -560,8 +543,7 @@ class TestHeartbeatUnderParallelism:
                     *super()._worker_command(work, worker_id),
                 ]
 
-        specs = [spec(label="a"), spec(noise_sigma=0.0005, noise_seed=7, label="b")]
-        serial = run_sessions(specs)
+        jobs = [_job(0, spec), _job(1, spec, noise_seed=7)]
         started = time.monotonic()
         coordinator = Sabotaged(
             hosts=2,
@@ -570,12 +552,10 @@ class TestHeartbeatUnderParallelism:
             heartbeat_timeout_s=2.0,
             timeout_s=240,
         )
-        result = coordinator.run(specs)
+        result = coordinator.run(jobs)
         assert time.monotonic() - started < 200  # finished well before timeout
         assert result.requeues >= 1
-        for expected, got in zip(serial, result.summaries):
-            assert got.transactions == expected.transactions
-            assert got.status is expected.status
+        _assert_rows_match_local(result.rows, jobs)
 
 
 class _ThreadedWSGI(socketserver.ThreadingMixIn, WSGIServer):
@@ -632,7 +612,7 @@ class TestTransportFaultInjection:
     def test_killed_claimer_requeues_identically(self, spec, any_transport):
         """A claim whose worker's process exit was observed is forfeit."""
         work = any_transport
-        work.enqueue(WorkShard(0, (spec(),)))
+        work.enqueue(WorkShard(0, (_job(0, spec),)))
         work.beat("ghost")
         claim = work.claim(0, "ghost")
         assert claim is not None
@@ -645,13 +625,13 @@ class TestTransportFaultInjection:
         again = work.claim(0, "w2")
         assert again is not None
         assert again.shard.shard_id == 0
-        assert len(again.shard.specs) == 1
+        assert len(again.shard.jobs) == 1
 
     def test_claimer_that_never_beat_is_forfeited(self, spec, any_transport):
         """External workers beat before their first claim, so a claim with
         no heartbeat at all has outlived its owner — on every backend."""
         work = any_transport
-        work.enqueue(WorkShard(1, (spec(),)))
+        work.enqueue(WorkShard(1, (_job(1, spec),)))
         assert work.claim(1, "vanished") is not None
         coordinator = Coordinator(hosts=1, spawn_local=False)
         requeued = coordinator._requeue_dead_claims(work, {}, {}, set(), {})
@@ -665,7 +645,7 @@ class TestTransportFaultInjection:
             HttpTransport(f"{shard_server}/queues/dup-race") for _ in range(8)
         ]
         claimers[0].reset()
-        claimers[0].enqueue(WorkShard(0, (spec(),)))
+        claimers[0].enqueue(WorkShard(0, (_job(0, spec),)))
         barrier = threading.Barrier(len(claimers))
         wins, errors = [], []
 
@@ -703,7 +683,7 @@ class TestTransportFaultInjection:
 
         work = HttpTransport(f"{shard_server}/queues/hb-forfeit")
         work.reset()
-        work.enqueue(WorkShard(0, (spec(),)))
+        work.enqueue(WorkShard(0, (_job(0, spec),)))
         clock = [0.0]
         monkeypatch.setattr(distrib.time, "monotonic", lambda: clock[0])
         coordinator = Coordinator(
@@ -734,11 +714,8 @@ class TestTransportFaultInjection:
         queue slowly; a worker that joins mid-sweep claims from the same
         queue and demonstrably takes shards off the straggler's plate —
         and the merged result still matches the serial run."""
-        specs = [
-            spec(noise_sigma=0.0005, noise_seed=100 + i, label=f"s{i}")
-            for i in range(8)
-        ]
-        serial = run_sessions(specs)
+        golden = spec(label="shared/golden")
+        jobs = [_job(i, spec, golden=golden) for i in range(8)]
         queue = InMemoryTransport.named("steal-late-joiner")
         queue.reset()
         cache = sweep_env.cache()
@@ -769,7 +746,7 @@ class TestTransportFaultInjection:
         ]
         for thread in threads:
             thread.start()
-        result = coordinator.run(specs)
+        result = coordinator.run(jobs)
         for thread in threads:
             thread.join(timeout=120)
         # Steal sharding actually split the work finer than one-per-host.
@@ -778,89 +755,76 @@ class TestTransportFaultInjection:
         assert executed["late"] >= 1, "the late joiner never stole a shard"
         workers_seen = {h["worker"] for h in result.host_stats}
         assert {"straggler", "late"} <= workers_seen
-        for expected, got in zip(serial, result.summaries):
-            assert got.transactions == expected.transactions
-            assert got.status is expected.status
+        _assert_rows_match_local(result.rows, jobs)
 
 
 @pytest.mark.slow
 class TestCoordinator:
-    def _specs(self, spec):
+    def _jobs(self, spec):
+        """A clean and a T2 job over one shared golden: three sessions."""
         return [
-            spec(label="a"),
-            spec(noise_sigma=0.0005, noise_seed=7, label="b"),
-            spec(noise_sigma=0.0005, noise_seed=8, label="c"),
-            spec(
-                trojan_id="T2",
-                trojan_params={"keep_fraction": 0.5},
-                label="d",
-            ),
+            _job(0, spec),
+            _job(1, spec, trojan_id="T2", trojan_params={"keep_fraction": 0.5}),
         ]
 
     def test_distributed_matches_serial(self, spec, sweep_env):
-        specs = self._specs(spec)
-        serial = run_sessions(specs)
-        result = run_distributed(
-            specs,
+        jobs = self._jobs(spec)
+        result = Coordinator(
             hosts=2,
             cache=sweep_env.cache(),
             work_dir=sweep_env.work_dir(),
             timeout_s=240,
-        )
-        assert [s.label for s in result.summaries] == ["a", "b", "c", "d"]
-        for expected, got in zip(serial, result.summaries):
-            assert got.transactions == expected.transactions
-            assert got.status is expected.status
-            assert got.final_counts == expected.final_counts
+        ).run(jobs)
+        _assert_rows_match_local(result.rows, jobs)
         assert result.shards == 2
-        assert result.sessions_dispatched == 4
+        assert result.sessions_dispatched == 3
         assert result.payload_bytes > 0
+        # The golden group is split to fill both hosts, so each half
+        # executes the shared golden.
         assert sum(h["sessions"] for h in result.host_stats) == 4
         assert all(h["failures"] == 0 for h in result.host_stats)
 
         # Warm repeat over the same cache dir: nothing dispatched, nothing
-        # spawned, summaries identical.
+        # spawned, rows identical.
         warm_cache = sweep_env.cache()
-        again = run_distributed(
-            specs,
+        again = Coordinator(
             hosts=2,
             cache=warm_cache,
             work_dir=sweep_env.work_dir("work2"),
             timeout_s=60,
-        )
+        ).run(jobs)
         assert again.sessions_dispatched == 0
         assert again.shards == 0
         assert warm_cache.misses == 0
-        for expected, got in zip(serial, again.summaries):
-            assert got.transactions == expected.transactions
+        assert again.rows == result.rows
 
     def test_reused_work_dir_is_safe_across_sweeps(self, spec, sweep_env):
         """README documents a fixed shared --work-dir; stale state (done
         files, STOP, claims) from sweep N must not corrupt sweep N+1."""
         work_dir = sweep_env.work_dir()
-        specs = self._specs(spec)[:2]
-        first = run_distributed(
-            specs,
+        jobs = self._jobs(spec)
+        first = Coordinator(
             hosts=2,
             cache=sweep_env.cache("cache-a"),
             work_dir=work_dir,
             timeout_s=240,
-        )
+        ).run(jobs)
         # A fresh cache dir forces full re-execution through the same
         # (now stale: STOP + done files) work dir.
-        second = run_distributed(
-            specs,
+        second = Coordinator(
             hosts=2,
             cache=sweep_env.cache("cache-b"),
             work_dir=work_dir,
             timeout_s=240,
-        )
-        assert second.sessions_dispatched == 2
-        for a, b in zip(first.summaries, second.summaries):
-            assert a.transactions == b.transactions
-            assert a.status is b.status
+        ).run(jobs)
+        assert second.sessions_dispatched == 3
+        assert second.rows == first.rows
+        _assert_rows_match_local(second.rows, jobs)
 
-    def test_merged_summaries_not_rewritten_to_disk(self, spec, sweep_env):
+    def test_coordinator_writes_no_cache_entry_during_dispatched_sweep(
+        self, spec, sweep_env
+    ):
+        """The workers own the cache writes; the coordinator only reads."""
         cache = sweep_env.cache()
         writes = []
         original_store = cache._store_to_disk
@@ -870,37 +834,37 @@ class TestCoordinator:
             original_store(key, summary)
 
         cache._store_to_disk = counting_store
-        one = spec(label="once")
-        result = run_distributed(
-            [one],
+        jobs = self._jobs(spec)[:1]
+        result = Coordinator(
             hosts=1,
             cache=cache,
             work_dir=sweep_env.work_dir(),
             timeout_s=240,
-        )
-        key = one.content_key()
-        # The worker subprocess persisted the entry; the coordinator merged
-        # it into memory without rewriting the file itself.
-        assert result.summaries[0].completed
-        assert cache.has_on_disk(key)
+        ).run(jobs)
+        assert result.sessions_dispatched == 2
+        _assert_rows_match_local(result.rows, jobs)
+        # The worker subprocess persisted both entries; the coordinator
+        # wrote nothing itself.
+        assert all(cache.has_on_disk(s.content_key()) for s in (jobs[0].golden, jobs[0].suspect))
         assert writes == []
-        assert cache.get(key) is not None  # served from memory
 
     def test_duplicate_specs_executed_once_and_relabeled(self, spec, sweep_env):
-        base = spec(label="first")
-        twin = spec(label="second")
-        result = run_distributed(
-            [base, twin],
+        jobs = [
+            _job(0, spec, name="first", noise_seed=7),
+            _job(1, spec, name="second", noise_seed=7),
+        ]
+        result = Coordinator(
             hosts=2,
             cache=sweep_env.cache(),
             work_dir=sweep_env.work_dir(),
             timeout_s=240,
-        )
-        assert result.sessions_dispatched == 1
-        assert [s.label for s in result.summaries] == ["first", "second"]
-        assert (
-            result.summaries[0].transactions == result.summaries[1].transactions
-        )
+        ).run(jobs)
+        assert result.sessions_dispatched == 2
+        assert [row.suspect.label for row in result.rows] == [
+            "first/suspect",
+            "second/suspect",
+        ]
+        _assert_rows_match_local(result.rows, jobs)
 
     def test_killed_worker_shard_is_requeued(self, spec, sweep_env, tmp_path):
         """A worker that dies holding a claim must not sink the batch."""
@@ -939,8 +903,7 @@ class TestCoordinator:
                     *super()._worker_command(work, worker_id),
                 ]
 
-        specs = self._specs(spec)[:2]
-        serial = run_sessions(specs)
+        jobs = self._jobs(spec)
         coordinator = Sabotaged(
             hosts=2,
             cache=sweep_env.cache(),
@@ -948,11 +911,9 @@ class TestCoordinator:
             heartbeat_timeout_s=2.0,
             timeout_s=240,
         )
-        result = coordinator.run(specs)
+        result = coordinator.run(jobs)
         assert result.requeues >= 1
-        for expected, got in zip(serial, result.summaries):
-            assert got.transactions == expected.transactions
-            assert got.status is expected.status
+        _assert_rows_match_local(result.rows, jobs)
 
     def test_lost_pool_drains_inline(self, spec, sweep_env):
         """With no spawnable workers at all, the coordinator finishes alone."""
@@ -969,10 +930,9 @@ class TestCoordinator:
             return [sys.executable, "-c", "raise SystemExit(1)"]
 
         coordinator._worker_command = instant_exit
-        specs = self._specs(spec)[:2]
-        result = coordinator.run(specs)
-        assert [s.label for s in result.summaries] == ["a", "b"]
-        assert all(s.completed for s in result.summaries)
+        jobs = self._jobs(spec)
+        result = coordinator.run(jobs)
+        _assert_rows_match_local(result.rows, jobs)
         assert any(
             h["worker"] == "coordinator-inline" for h in result.host_stats
         )
@@ -989,50 +949,34 @@ class TestScoredDistribution:
             for i in range(3)
         ]
 
-    def _local_rows(self, jobs):
-        out = []
-        for job in jobs:
-            golden, suspect = run_sessions([job.golden, job.suspect])
-            out.append(job.score.score_pair(golden, suspect))
-        return out
-
     def test_scored_verdicts_match_local_scoring(self, spec, sweep_env):
         jobs = self._jobs(spec)
-        expected = self._local_rows(jobs)
-        result = run_distributed_scored(
-            jobs,
+        result = Coordinator(
             hosts=2,
             cache=sweep_env.cache(),
             work_dir=sweep_env.work_dir(),
             timeout_s=240,
-        )
-        assert [row.index for row in result.rows] == [0, 1, 2]
+        ).run(jobs)
         assert result.payload_bytes > 0
         assert result.sessions_dispatched == 4  # shared golden counted once
-        for row, local in zip(result.rows, expected):
-            assert {k: v.as_dict() for k, v in row.verdicts.items()} == {
-                k: v.as_dict() for k, v in local.items()
-            }
-            assert isinstance(row.golden, SessionDigest)
-            assert row.golden.completed and row.suspect.completed
+        _assert_rows_match_local(result.rows, jobs)
+        assert all(row.golden.completed and row.suspect.completed for row in result.rows)
 
     def test_warm_cache_scores_on_the_coordinator(self, spec, sweep_env):
         jobs = self._jobs(spec)
-        first = run_distributed_scored(
-            jobs,
+        first = Coordinator(
             hosts=2,
             cache=sweep_env.cache(),
             work_dir=sweep_env.work_dir(),
             timeout_s=240,
-        )
+        ).run(jobs)
         warm_cache = sweep_env.cache()
-        again = run_distributed_scored(
-            jobs,
+        again = Coordinator(
             hosts=2,
             cache=warm_cache,
             work_dir=sweep_env.work_dir("work2"),
             timeout_s=60,
-        )
+        ).run(jobs)
         # Nothing dispatched, nothing spawned, zero payload — and the
         # coordinator-side scoring of cached pairs yields the same verdicts.
         assert again.sessions_dispatched == 0
@@ -1047,28 +991,26 @@ class TestScoredDistribution:
     def test_corrupt_cached_entry_dispatches_instead_of_scoring_garbage(
         self, spec, sweep_env
     ):
-        """run_scored probes presence without validating contents; a probe
+        """Coordinator.run probes presence without validating contents; a probe
         that lied (torn cache entry) must turn into a dispatch + worker
         re-simulation, never a wrong or missing row."""
         jobs = self._jobs(spec)
-        first = run_distributed_scored(
-            jobs,
+        first = Coordinator(
             hosts=2,
             cache=sweep_env.cache(),
             work_dir=sweep_env.work_dir(),
             timeout_s=240,
-        )
+        ).run(jobs)
         suspect_key = jobs[1].suspect.content_key()
         path = os.path.join(sweep_env.path("cache"), f"{suspect_key}.summary.pkl")
         assert os.path.exists(path)
         corrupt_file(path, b"torn write garbage")
-        again = run_distributed_scored(
-            jobs,
+        again = Coordinator(
             hosts=2,
             cache=sweep_env.cache(),
             work_dir=sweep_env.work_dir("work2"),
             timeout_s=240,
-        )
+        ).run(jobs)
         assert again.sessions_dispatched == 1  # exactly the corrupted session
         for a, b in zip(first.rows, again.rows):
             assert {k: v.as_dict() for k, v in a.verdicts.items()} == {
@@ -1079,25 +1021,20 @@ class TestScoredDistribution:
         self, spec, sweep_env
     ):
         jobs = self._jobs(spec)
-        scored = run_distributed_scored(
-            jobs,
+        cache = sweep_env.cache()
+        scored = Coordinator(
             hosts=2,
-            cache=sweep_env.cache("cache-scored"),
-            work_dir=sweep_env.work_dir("work-scored"),
+            cache=cache,
+            work_dir=sweep_env.work_dir(),
             timeout_s=240,
-        )
-        specs = [s for job in jobs for s in (job.golden, job.suspect)]
-        shipped = run_distributed(
-            specs,
-            hosts=2,
-            cache=sweep_env.cache("cache-shipped"),
-            work_dir=sweep_env.work_dir("work-shipped"),
-            timeout_s=240,
-        )
-        assert scored.payload_bytes > 0 and shipped.payload_bytes > 0
+        ).run(jobs)
+        # What full summaries would have shipped: the files the workers
+        # wrote into the sweep's fresh shared cache dir.
+        summary_bytes = cache.disk_bytes()
+        assert scored.payload_bytes > 0 and summary_bytes > 0
         # The acceptance bar is >= 5x on the full grid; even this 4-session
         # micro-batch clears it by a wide margin.
-        assert shipped.payload_bytes >= 5 * scored.payload_bytes
+        assert summary_bytes >= PAYLOAD_SHRINK_FLOOR * scored.payload_bytes
 
 
 @pytest.mark.slow
@@ -1142,29 +1079,3 @@ class TestDistributedSweep:
         assert repeat.sessions_simulated == 0
         assert repeat.cache_misses == 0
         assert repeat.ok == serial.ok
-
-    def test_ship_summaries_mode_keeps_verdicts_and_costs_more_bytes(
-        self, sweep_env
-    ):
-        from repro.experiments.report import render_csv
-        from repro.experiments.scenario import grid_scenarios, run_sweep
-
-        scenarios = grid_scenarios("smoke")
-        scored = run_sweep(
-            scenarios,
-            cache=sweep_env.cache("scored-cache"),
-            grid="smoke",
-            hosts=2,
-            work_dir=sweep_env.work_dir("work-scored"),
-        )
-        shipped = run_sweep(
-            scenarios,
-            cache=sweep_env.cache("shipped-cache"),
-            grid="smoke",
-            hosts=2,
-            ship_summaries=True,
-            work_dir=sweep_env.work_dir("work-shipped"),
-        )
-        assert shipped.transport == "summaries"
-        assert render_csv(shipped) == render_csv(scored)
-        assert shipped.payload_bytes >= 5 * scored.payload_bytes

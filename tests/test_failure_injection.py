@@ -128,16 +128,15 @@ class TestDistributedQueueFaults:
     def test_torn_pending_shard_mid_sweep_recovers(self, spec_factory, tmp_path):
         """Corrupt a shard after the coordinator enqueues it: the claiming
         worker drops it, the coordinator re-enqueues from its in-memory
-        copy, and the merged batch still matches the serial run."""
+        copy, and the merged rows still match local scoring."""
         import threading
         import time as _time
 
-        from repro.experiments.batch import run_sessions
         from repro.experiments.distrib import Coordinator, WorkDir, Worker
+        from tests.test_distrib import _assert_rows_match_local, _job
 
         spec = spec_factory(noise_sigma=0.0, cacheable=False)
-        specs = [spec(label="a"), spec(noise_sigma=0.0005, noise_seed=7, label="b")]
-        serial = run_sessions(specs)
+        jobs = [_job(0, spec), _job(1, spec, noise_seed=7)]
         work = WorkDir(str(tmp_path / "work"))
         coordinator = Coordinator(
             hosts=2, spawn_local=False, work_dir=work.root, timeout_s=240
@@ -145,7 +144,7 @@ class TestDistributedQueueFaults:
         outcome = {}
 
         def drive():
-            outcome["result"] = coordinator.run(specs)
+            outcome["result"] = coordinator.run(jobs)
 
         driver = threading.Thread(target=drive)
         driver.start()
@@ -156,8 +155,4 @@ class TestDistributedQueueFaults:
         work.put_pending(torn, b"\x00torn mid-flight")
         Worker(work, "w1", poll_s=0.05).run()
         driver.join(timeout=120)
-        result = outcome["result"]
-        assert [s.label for s in result.summaries] == ["a", "b"]
-        for expected, got in zip(serial, result.summaries):
-            assert got.transactions == expected.transactions
-            assert got.status is expected.status
+        _assert_rows_match_local(outcome["result"].rows, jobs)

@@ -60,7 +60,7 @@ def _shard(shard_id):
 
 
 def _result(shard_id, worker_id="w1"):
-    return ShardResult(shard_id, worker_id, [], 0.25)
+    return ShardResult(shard_id, worker_id, 0.25)
 
 
 class TransportContractTests:
