@@ -8,44 +8,25 @@ balanced bins, shared goldens grouped), executes and scores each shard
 through the existing :class:`~repro.experiments.batch.BatchRunner`, and
 merges the returned verdict rows back into one result.
 
-The protocol surface itself —
-claim/requeue/done/heartbeat/STOP — is the pluggable
-:class:`~repro.experiments.transport.Transport` interface; this module
-owns the protocol's *participants* (coordinator and worker loops, both
-backend-agnostic) and its original backend, the **file-based work-dir
-protocol** — any filesystem the coordinator and workers can both reach
-(one machine, NFS, or an rsync'd directory) is a cluster. The HTTP
-backend (:mod:`~repro.experiments.transport_http`) extends that to hosts
-sharing nothing but a network; the same loops run unchanged over either.
-The filesystem layout:
-
-.. code-block:: text
-
-    work-dir/
-      pending/shard-0007.pkl        queued WorkShard (coordinator writes)
-      claimed/shard-0007@W.pkl      claimed by worker W (atomic rename)
-      done/shard-0007.pkl           ShardResult (atomic write; claim removed)
-      hearts/W                      worker W's heartbeat (mtime refreshed
-                                    between sessions = forward progress)
-      logs/W.log                    spawned local workers' stdio
-      STOP                          coordinator's shutdown signal
-
-Every file lands via atomic rename — the same torn-write discipline as the
-session cache — so a crashed writer never leaves a half-written shard under
-a final name, and claiming is race-free: exactly one worker wins the rename
-of a pending shard.
+The queue itself — claim/requeue/done/heartbeat/STOP, the wire envelope
+and every backend, including the shared-filesystem work dir
+(:class:`~repro.experiments.transport.WorkDir`, whose docstring shows the
+file layout) — lives in :mod:`repro.experiments.transport`. This module
+owns only the protocol's *participants*: the coordinator and worker loops,
+both backend-agnostic, so the same loops run unchanged over a shared
+directory, an HTTP shard queue, or an in-process registry.
 
 Fault tolerance: the coordinator watches each claimed shard's worker. A
 worker whose process has exited (local transport) or whose heartbeat has
 gone stale (any transport) forfeits its claim — the shard is re-queued by
-renaming it back to ``pending/`` and another worker picks it up. If the
+returning it to pending and another worker picks it up. If the
 local worker pool dies entirely, the coordinator drains the remaining
 shards inline, so a sweep completes as long as the coordinator itself
 survives.
 
 Shards are scenario-level :class:`ScenarioJob`\\ s carrying a picklable
 :class:`~repro.detection.protocol.ScoreSpec`; the worker executes *and
-scores* each scenario, and the ``done/`` payload is verdict rows plus
+scores* each scenario, and the result payload is verdict rows plus
 per-session :class:`SessionDigest` metadata — orders of magnitude smaller
 than full summaries for big grids, since transaction streams and fan
 profiles never travel. Full summaries land only in the shared
@@ -100,25 +81,13 @@ from repro.experiments.batch import (
     resolve_cache,
 )
 from repro.experiments.transport import (
-    WIRE_FORMAT,
     Claim,
     Transport,
     WireFormatError,
+    WorkDir,
     create_transport,
-    decode_wire,
 )
 from repro.firmware.marlin import PrinterStatus
-from repro.util import atomic_pickle, atomic_write
-
-__all__ = [  # re-exports: the wire layer moved to transport.py in PR 10
-    "WIRE_FORMAT",
-    "Claim",
-    "Transport",
-    "WireFormatError",
-    "WorkDir",
-    "Worker",
-    "Coordinator",
-]
 
 PAYLOAD_SHRINK_FLOOR = 5.0
 """Verdict rows must undercut the summaries they stand in for by this factor.
@@ -139,17 +108,6 @@ Small enough that per-shard protocol overhead (claims, done payloads)
 stays negligible, large enough that a straggling host strands at most
 ~1/4 of its fair share before an idle worker steals the rest.
 """
-
-_PENDING, _CLAIMED, _DONE, _HEARTS, _LOGS = (
-    "pending",
-    "claimed",
-    "done",
-    "hearts",
-    "logs",
-)
-_STOP = "STOP"
-_SHARD_RE = re.compile(r"^shard-(\d+)(?:@(.+))?\.pkl$")
-
 
 @dataclass(frozen=True)
 class SessionDigest:
@@ -356,271 +314,6 @@ def default_worker_id() -> str:
     return sanitize_worker_id(f"{socket.gethostname()}-{os.getpid()}")
 
 
-def _atomic_pickle(path: str, payload: Any) -> None:
-    """Write an enveloped wire payload under ``path`` via tmp-file + rename.
-
-    The torn-write discipline itself lives in
-    :func:`repro.util.atomic_pickle` (the WIRE001-enforced helper); this
-    wrapper only adds the :data:`WIRE_FORMAT` envelope every work-dir
-    payload must carry.
-    """
-    atomic_pickle(
-        path, {"format": WIRE_FORMAT, "payload": payload}, prefix=".wire."
-    )
-
-
-def _load_pickle(path: str) -> Optional[Any]:
-    """Read a wire payload file — :func:`decode_wire`'s semantics.
-
-    Corruption reads as ``None`` (worst outcome: a re-queue), a cleanly
-    readable envelope with a different format version raises
-    :class:`WireFormatError` — see
-    :func:`repro.experiments.transport.decode_wire` for the rationale.
-    """
-    try:
-        with open(path, "rb") as handle:
-            data = handle.read()
-    except OSError:
-        return None
-    return decode_wire(data, path)
-
-
-class WorkDir(Transport):
-    """The filesystem transport: a shared directory both sides operate on.
-
-    Every transition is an atomic rename (claim: ``pending/ → claimed/``;
-    re-queue: ``claimed/ → pending/``) or an atomic write (enqueue, done),
-    so concurrent workers — processes or hosts — never observe a torn file
-    and never double-execute a shard they both tried to claim. Claim
-    tokens are the claim-file paths, and the name-based helpers
-    (:meth:`pending_files`, string-named :meth:`claim`) remain alongside
-    the id-based :class:`~repro.experiments.transport.Transport` surface.
-    """
-
-    scheme = "fs"
-
-    def __init__(self, root: str) -> None:
-        self.root = root
-        for sub in (_PENDING, _CLAIMED, _DONE, _HEARTS, _LOGS):
-            os.makedirs(os.path.join(root, sub), exist_ok=True)
-
-    def _sub(self, sub: str, name: str = "") -> str:
-        return os.path.join(self.root, sub, name) if name else os.path.join(self.root, sub)
-
-    @staticmethod
-    def shard_file(shard_id: int) -> str:
-        return f"shard-{shard_id:04d}.pkl"
-
-    # ------------------------------------------------------------------
-    # Coordinator side
-    # ------------------------------------------------------------------
-    def reset(self) -> None:
-        """Clear a previous sweep's protocol state from a reused work dir.
-
-        Stale ``done/`` files would satisfy this run's shard ids with old
-        verdicts, a stale ``STOP`` would make joining workers exit
-        immediately, and stale claims would be pointlessly re-queued — so
-        the coordinator wipes all of them before enqueueing (one sweep per
-        work dir at a time; logs are kept, they only ever append).
-        """
-        try:
-            os.unlink(os.path.join(self.root, _STOP))
-        except OSError:
-            pass
-        for sub in (_PENDING, _CLAIMED, _DONE, _HEARTS):
-            for name in os.listdir(self._sub(sub)):
-                try:
-                    os.unlink(self._sub(sub, name))
-                except OSError:
-                    pass
-
-    def enqueue(self, shard: WorkShard) -> None:
-        _atomic_pickle(self._sub(_PENDING, self.shard_file(shard.shard_id)), shard)
-
-    def put_pending(self, shard_id: int, data: bytes) -> None:
-        atomic_write(
-            self._sub(_PENDING, self.shard_file(shard_id)),
-            lambda handle: handle.write(data),
-            prefix=".wire.",
-        )
-
-    def put_result(self, shard_id: int, data: bytes) -> None:
-        atomic_write(
-            self._sub(_DONE, self.shard_file(shard_id)),
-            lambda handle: handle.write(data),
-            prefix=".wire.",
-        )
-
-    def done_ids(self) -> List[int]:
-        ids = []
-        for name in os.listdir(self._sub(_DONE)):
-            match = _SHARD_RE.match(name)
-            if match:
-                ids.append(int(match.group(1)))
-        return sorted(ids)
-
-    def load_result(self, shard_id: int) -> Optional[ShardResult]:
-        """The shard's result; ``None`` when absent/corrupt.
-
-        Raises :class:`WireFormatError` when the done file was written by
-        an incompatible protocol version — the coordinator must fail loud
-        on that, never merge or silently re-queue it.
-        """
-        payload = _load_pickle(self._sub(_DONE, self.shard_file(shard_id)))
-        return payload if isinstance(payload, ShardResult) else None
-
-    def result_size(self, shard_id: int) -> int:
-        """The done file's size in bytes (0 when absent) — payload economics."""
-        try:
-            return os.path.getsize(self._sub(_DONE, self.shard_file(shard_id)))
-        except OSError:
-            return 0
-
-    def discard_done(self, shard_id: int) -> None:
-        try:
-            os.unlink(self._sub(_DONE, self.shard_file(shard_id)))
-        except OSError:
-            pass
-
-    def claims(self) -> List[Tuple[int, str, str]]:
-        """Live claims as ``(shard_id, worker_id, path)`` triples."""
-        out = []
-        for name in sorted(os.listdir(self._sub(_CLAIMED))):
-            match = _SHARD_RE.match(name)
-            if match and match.group(2):
-                out.append(
-                    (int(match.group(1)), match.group(2), self._sub(_CLAIMED, name))
-                )
-        return out
-
-    def requeue(self, claim_path: str) -> bool:
-        """Return a dead worker's claimed shard to the pending queue.
-
-        The claim file still holds the original shard payload, so one
-        atomic rename restores it; a vanished claim (the worker completed
-        after all) is not an error — the done file wins.
-        """
-        match = _SHARD_RE.match(os.path.basename(claim_path))
-        if not match:
-            return False
-        pending_path = self._sub(_PENDING, self.shard_file(int(match.group(1))))
-        try:
-            os.rename(claim_path, pending_path)
-        except OSError:
-            return False
-        return True
-
-    def stop(self) -> None:
-        with open(os.path.join(self.root, _STOP), "w", encoding="utf-8") as handle:
-            handle.write("stop\n")
-
-    # ------------------------------------------------------------------
-    # Worker side
-    # ------------------------------------------------------------------
-    def stop_requested(self) -> bool:
-        return os.path.exists(os.path.join(self.root, _STOP))
-
-    def pending_files(self) -> List[str]:
-        return sorted(
-            name
-            for name in os.listdir(self._sub(_PENDING))
-            if _SHARD_RE.match(name)
-        )
-
-    def pending_ids(self) -> List[int]:
-        ids = []
-        for name in self.pending_files():
-            match = _SHARD_RE.match(name)
-            if match and not match.group(2):
-                ids.append(int(match.group(1)))
-        return sorted(ids)
-
-    def claim(
-        self, pending_name: Union[int, str], worker_id: str
-    ) -> Optional[Claim]:
-        """Try to claim one pending shard; ``None`` if another worker won.
-
-        Accepts a shard id (the transport-interface spelling) or a pending
-        file name (the original work-dir spelling). Raises
-        :class:`WireFormatError` — after renaming the shard *back* to
-        pending, so a compatible worker can still take it — when the shard
-        was enqueued by an incompatible coordinator; executing a payload
-        whose schema this worker does not speak is never an option.
-        """
-        if isinstance(pending_name, int):
-            pending_name = self.shard_file(pending_name)
-        match = _SHARD_RE.match(pending_name)
-        if not match or match.group(2):
-            return None
-        claim_path = self._sub(
-            _CLAIMED, f"shard-{int(match.group(1)):04d}@{worker_id}.pkl"
-        )
-        try:
-            os.rename(self._sub(_PENDING, pending_name), claim_path)
-        except OSError:
-            return None
-        try:
-            payload = _load_pickle(claim_path)
-        except WireFormatError:
-            try:
-                os.rename(claim_path, self._sub(_PENDING, pending_name))
-            except OSError:
-                pass
-            raise
-        if not isinstance(payload, WorkShard):
-            # Corrupt shard file: drop the claim; the coordinator re-enqueues
-            # from its in-memory copy once it notices the shard went missing.
-            try:
-                os.unlink(claim_path)
-            except OSError:
-                pass
-            return None
-        return Claim(shard=payload, token=claim_path)
-
-    def complete(self, claim: Claim, result: ShardResult) -> None:
-        _atomic_pickle(self._sub(_DONE, self.shard_file(claim.shard.shard_id)), result)
-        try:
-            os.unlink(claim.path)
-        except OSError:
-            pass
-
-    def beat(self, worker_id: str) -> None:
-        path = self._sub(_HEARTS, worker_id)
-        with open(path, "a", encoding="utf-8"):
-            pass
-        os.utime(path, None)
-
-    def heartbeat_age_s(self, worker_id: str) -> Optional[float]:
-        """Local-clock age of the heartbeat; ``None`` when it doesn't exist.
-
-        Only meaningful when beater and reader share a clock (same host).
-        The coordinator instead watches :meth:`heartbeat_mtime` for
-        *advancement* against its own clock, which survives cross-host
-        clock skew on shared filesystems.
-        """
-        try:
-            # repro: lint-ignore[DET003] heartbeat staleness is wall-clock by definition (file mtime vs this host's clock)
-            return max(0.0, time.time() - os.path.getmtime(self._sub(_HEARTS, worker_id)))
-        except OSError:
-            return None
-
-    def heartbeat_mtime(self, worker_id: str) -> Optional[float]:
-        """The heartbeat file's raw mtime; ``None`` when it doesn't exist."""
-        try:
-            return os.path.getmtime(self._sub(_HEARTS, worker_id))
-        except OSError:
-            return None
-
-    def log_path(self, worker_id: str) -> str:
-        return self._sub(_LOGS, f"{worker_id}.log")
-
-    def worker_target(self) -> str:
-        return self.root
-
-    def describe(self) -> str:
-        return f"fs transport ({self.root})"
-
-
 class Worker:
     """The claim → execute → report loop one host runs.
 
@@ -702,8 +395,13 @@ class Worker:
                     flush=True,
                 )
                 continue
-            if claim is not None:
+            if claim is None:
+                continue
+            if isinstance(claim.shard, WorkShard):
                 return claim
+            # A well-formed envelope around something that is not a shard
+            # (the HTTP queue accepts any PUT body): never execute it.
+            self.work.abandon(shard_id, self.worker_id)
         return None
 
     def _beat(self, _summary: SessionSummary) -> None:
@@ -743,8 +441,8 @@ class ScoredResult:
 
     ``rows`` is ordered by job index — one entry per input scenario job,
     whether it was scored worker-side or (cache-served pairs) by the
-    coordinator itself. ``payload_bytes`` is the total size of the
-    ``done/`` files collected, i.e. what actually travelled back.
+    coordinator itself. ``payload_bytes`` is the total size of the result
+    payloads collected, i.e. what actually travelled back.
     """
 
     rows: List[ScenarioVerdicts]
@@ -758,17 +456,19 @@ class ScoredResult:
 class Coordinator:
     """Shard a sweep's scenario jobs across worker hosts; merge their verdicts.
 
-    With ``spawn_local=True`` (the default) the coordinator spawns
-    ``hosts`` local worker subprocesses (``repro worker <work-dir>``) — the
-    zero-config transport. External workers started by hand against the
-    same work dir join the same queue; ``spawn_local=False`` relies on them
-    entirely.
+    ``transport`` is the shard queue: a :class:`Transport`, a target
+    string (a work-dir path, ``http://...`` or ``memory://...``), or
+    ``None`` for a throwaway temp work dir per run. With
+    ``spawn_local=True`` (the default) the coordinator spawns ``hosts``
+    local worker subprocesses (``repro worker <target>``). External workers
+    started by hand against the same queue join it; ``spawn_local=False``
+    relies on them entirely.
 
     Failure handling, in escalating order:
 
     * a worker whose *process* exited (local transport) or whose
-      *heartbeat* went stale forfeits its claims — each is re-queued by
-      atomic rename and another worker picks it up;
+      *heartbeat* went stale forfeits its claims — each is re-queued and
+      another worker picks it up;
     * a dead local worker is replaced while the respawn budget
       (``max_respawns``, default ``hosts``) lasts;
     * if every local worker is gone and the budget is spent, the
@@ -791,7 +491,6 @@ class Coordinator:
         self,
         hosts: int = 2,
         cache: CacheOption = None,
-        work_dir: Optional[str] = None,
         heartbeat_timeout_s: float = 300.0,
         poll_s: float = 0.1,
         spawn_local: bool = True,
@@ -803,16 +502,12 @@ class Coordinator:
     ) -> None:
         self.hosts = max(1, hosts)
         self.cache = resolve_cache(cache)
-        self.work_dir = work_dir
         self.heartbeat_timeout_s = heartbeat_timeout_s
         self.poll_s = poll_s
         self.spawn_local = spawn_local
         self.max_respawns = self.hosts if max_respawns is None else max_respawns
         self.timeout_s = timeout_s
         self.workers = workers
-        # Backend precedence: an explicit transport (instance or target
-        # string) wins; else work_dir names a filesystem transport; else a
-        # throwaway temp work dir is created per batch.
         self.transport = transport
         self.steal = steal
 
@@ -961,7 +656,9 @@ class Coordinator:
             command += ["--cache-dir", self.cache.directory]
         return command
 
-    def _spawn(self, work: Transport, worker_id: str) -> subprocess.Popen:
+    def _spawn(
+        self, work: Transport, worker_id: str, log_dir: str
+    ) -> subprocess.Popen:
         env = dict(os.environ)
         # The spawned interpreter must resolve this very repro package no
         # matter what the caller's cwd-relative PYTHONPATH said.
@@ -969,7 +666,7 @@ class Coordinator:
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (package_root, env.get("PYTHONPATH")) if p
         )
-        with open(work.log_path(worker_id), "ab") as log:
+        with open(os.path.join(log_dir, f"{worker_id}.log"), "ab") as log:
             return subprocess.Popen(
                 self._worker_command(work, worker_id),
                 stdout=log,
@@ -989,18 +686,17 @@ class Coordinator:
         dead-worker re-queue count, and the total ``done/`` payload bytes
         that travelled back.
         """
-        created_tmp = False
-        tmp_root: Optional[str] = None
+        # Temp dirs this run creates and removes, success or failure: a
+        # throwaway work dir (pickled specs include whole G-code programs)
+        # and the worker-log dir of a backend without one of its own.
+        owned: List[str] = []
         if isinstance(self.transport, Transport):
             work: Transport = self.transport
         elif self.transport is not None:
             work = create_transport(self.transport)
-        elif self.work_dir is not None:
-            work = WorkDir(self.work_dir)
         else:
-            tmp_root = tempfile.mkdtemp(prefix="repro-distrib-")
-            created_tmp = True
-            work = WorkDir(tmp_root)
+            owned.append(tempfile.mkdtemp(prefix="repro-distrib-"))
+            work = WorkDir(owned[-1])
         if self.spawn_local and work.scheme == "memory":
             # A spawned `repro worker memory://...` would resolve a fresh,
             # empty registry in its own process and idle forever while the
@@ -1010,6 +706,10 @@ class Coordinator:
                 "spawn_local=False and in-process workers, or use a "
                 "filesystem/HTTP transport for subprocess workers"
             )
+        log_dir = work.log_dir
+        if self.spawn_local and log_dir is None:
+            owned.append(tempfile.mkdtemp(prefix="repro-worker-logs-"))
+            log_dir = owned[-1]
         work.reset()
         for shard in shards.values():
             work.enqueue(shard)
@@ -1018,7 +718,7 @@ class Coordinator:
         if self.spawn_local:
             for index in range(min(self.hosts, len(shards))):
                 worker_id = f"local-{index}"
-                procs[worker_id] = self._spawn(work, worker_id)
+                procs[worker_id] = self._spawn(work, worker_id, log_dir)
 
         done: Dict[int, ShardResult] = {}
         payload_sizes: Dict[int, int] = {}
@@ -1046,7 +746,8 @@ class Coordinator:
                 self._reenqueue_lost(work, shards, done)
                 if self.spawn_local:
                     respawns = self._tend_pool(
-                        work, shards, done, procs, dead_workers, respawns
+                        work, shards, done, procs, dead_workers, respawns,
+                        log_dir,
                     )
                 if deadline is not None and time.monotonic() > deadline:
                     raise ReproError(
@@ -1059,11 +760,8 @@ class Coordinator:
         finally:
             work.stop()
             self._shutdown(procs)
-            if created_tmp and tmp_root is not None:
-                # The throwaway work dir (pickled specs include whole G-code
-                # programs) must not outlive the run, success or failure;
-                # every result that matters is already merged in memory.
-                shutil.rmtree(tmp_root, ignore_errors=True)
+            for path in owned:
+                shutil.rmtree(path, ignore_errors=True)
 
         per_host: Dict[str, Dict[str, Any]] = {}
         for result in done.values():
@@ -1091,9 +789,8 @@ class Coordinator:
         for shard_id in work.done_ids():
             if shard_id in done or shard_id not in shards:
                 continue
-            size = work.result_size(shard_id)
             try:
-                result = work.load_result(shard_id)
+                result, size = work.load_result(shard_id)
             except WireFormatError as exc:
                 # A worker running different code "completed" this shard.
                 # Its payload cannot be trusted or even deserialized — and
@@ -1150,12 +847,12 @@ class Coordinator:
         hb_seen: Dict[str, Tuple[float, float]],
     ) -> int:
         requeued = 0
-        for shard_id, worker_id, claim_path in work.claims():
+        for shard_id, worker_id in work.claims():
             if shard_id in done:
                 continue
             if self._worker_dead(
                 work, worker_id, procs, dead_workers, hb_seen
-            ) and work.requeue(claim_path):
+            ) and work.requeue(shard_id, worker_id):
                 requeued += 1
         return requeued
 
@@ -1172,7 +869,7 @@ class Coordinator:
         in-memory copy is authoritative, so it simply enqueues again.
         """
         visible = set(work.pending_ids())
-        visible.update(shard_id for shard_id, _, _ in work.claims())
+        visible.update(shard_id for shard_id, _ in work.claims())
         # The on-disk done listing, not just the collected dict: a shard
         # completed since the last _collect_done is *not* lost.
         visible.update(work.done_ids())
@@ -1189,6 +886,7 @@ class Coordinator:
         procs: Dict[str, subprocess.Popen],
         dead_workers: set,
         respawns: int,
+        log_dir: str,
     ) -> int:
         """Keep the local pool at strength; drain inline as a last resort."""
         outstanding = len(shards) - len(done)
@@ -1203,7 +901,7 @@ class Coordinator:
             if outstanding > 0 and respawns < self.max_respawns:
                 respawns += 1
                 replacement = f"local-r{respawns}"
-                procs[replacement] = self._spawn(work, replacement)
+                procs[replacement] = self._spawn(work, replacement, log_dir)
         if not procs and outstanding > 0 and work.pending_ids():
             # The whole pool is gone and the budget is spent: finish the
             # queue ourselves rather than failing the sweep. A *separate*

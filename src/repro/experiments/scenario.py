@@ -734,8 +734,9 @@ def run_sweep(
             )
         ]
         scored = Coordinator(
-            hosts=hosts, cache=resolved, work_dir=work_dir,
-            workers=workers, transport=transport, steal=steal,
+            hosts=hosts, cache=resolved, workers=workers,
+            transport=transport if transport is not None else work_dir,
+            steal=steal,
         ).run(jobs)
         outcomes = [
             ScenarioOutcome(scenario, row.golden, row.suspect, row.verdicts)

@@ -7,14 +7,12 @@ state machine per shard::
        ^                  |
        +----requeue-------+   (staleness forfeit / dead worker)
 
-plus a queue-wide STOP flag and per-worker heartbeats. PR 4/5 implemented
-that machine directly on a shared filesystem (atomic renames under a work
-dir). This module extracts the machine's *surface* into the
-:class:`Transport` interface so the same coordinator/worker loops run over
+plus a queue-wide STOP flag and per-worker heartbeats. :class:`Transport`
+is that machine's surface, so the same coordinator/worker loops run over
 any backend that can honor the contract:
 
-* ``fs`` — the original shared-filesystem work dir
-  (:class:`repro.experiments.distrib.WorkDir`); claims are atomic renames.
+* ``fs`` — a shared-filesystem work dir (:class:`WorkDir`, below); claims
+  are atomic renames.
 * ``http`` — a shard server riding the sweep service
   (:mod:`repro.experiments.transport_http`); claims are SQLite conditional
   UPDATEs behind HTTP endpoints, so workers join over the network with no
@@ -22,17 +20,19 @@ any backend that can honor the contract:
 * ``memory`` — an in-process fake (:class:`InMemoryTransport`) for tests
   and the transport contract suite; claims are dict moves under one lock.
 
-Every backend ships the **same wire bytes**: payloads are pickled inside a
-``{"format": WIRE_FORMAT, "payload": ...}`` envelope
-(:func:`encode_wire` / :func:`decode_wire`), so version-skew detection and
-torn-payload degradation behave identically whether the bytes crossed a
-rename, a socket, or a dict. The backend-agnostic behavioral contract —
-claim exclusivity under concurrent claimers, requeue-after-forfeit,
-torn-write degradation, wire-format skew failing loud, STOP propagation,
-done-payload round-trip — is pinned by ``tests/test_transport_contract.py``,
-which every registered backend inherits.
+Backends only move bytes: each implements a handful of byte primitives
+(``put_pending``, ``take``, ``abandon``, ``requeue``, ``put_result``,
+``get_result``, ...), and the base class owns the wire policy once. Every
+payload is pickled inside a ``{"format": WIRE_FORMAT, "payload": ...}``
+envelope (:func:`encode_wire` / :func:`decode_wire`), so version-skew
+detection and torn-payload degradation behave identically whether the
+bytes crossed a rename, a socket, or a dict. The backend-agnostic
+behavioral contract — claim exclusivity under concurrent claimers,
+requeue-after-forfeit, torn-write degradation, wire-format skew failing
+loud, STOP propagation, done-payload round-trip — is pinned by
+``tests/test_transport_contract.py``, which every backend in
+:data:`TRANSPORT_SCHEMES` inherits.
 
-Backends register under a URL scheme via :func:`register_transport`;
 :func:`create_transport` resolves a target string (a filesystem path,
 ``http://host:port/queues/name``, or ``memory://name``) to a live
 transport. ``repro worker <target>`` accepts any of them, which is how
@@ -43,12 +43,13 @@ from __future__ import annotations
 
 import os
 import pickle
-import tempfile
+import re
 import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
+from repro.util import atomic_write
 
 WIRE_FORMAT = 4
 """Shard-queue payload format version.
@@ -72,7 +73,7 @@ class WireFormatError(ReproError):
 
     def __init__(self, source: str, found: Any) -> None:
         super().__init__(
-            f"shard-queue payload {os.path.basename(str(source))!r} has wire "
+            f"shard-queue payload {source!r} has wire "
             f"format {found!r}, but this process speaks {WIRE_FORMAT}; every "
             "host sharing a shard queue must run the same repro version"
         )
@@ -112,83 +113,42 @@ def decode_wire(data: bytes, source: str) -> Optional[Any]:
 
 @dataclass(frozen=True)
 class Claim:
-    """A successfully claimed shard and the token that records the claim.
-
-    ``token`` is backend-specific — the claim-file path on the filesystem
-    transport, a ``"<shard_id>@<worker_id>"`` lease elsewhere — and is what
-    :meth:`Transport.requeue` consumes to forfeit the claim.
-    """
+    """A successfully claimed shard payload and the worker holding it."""
 
     shard: Any
-    token: str
-
-    @property
-    def path(self) -> str:
-        """Filesystem-transport compatibility alias for :attr:`token`."""
-        return self.token
+    worker_id: str
 
 
 class Transport:
-    """The claim/requeue/done/heartbeat/STOP surface every backend implements.
+    """One shard queue: byte primitives below, the wire policy on top.
 
-    One transport instance fronts one shard queue. The coordinator calls
-    the full surface; a worker only ``beat``/``stop_requested``/
-    ``pending_ids``/``claim``/``complete``. Implementations must keep two
-    invariants the contract suite enforces:
+    Backends implement the byte primitives; the policy methods
+    (:meth:`enqueue`, :meth:`claim`, :meth:`complete`, :meth:`load_result`)
+    are written once here and are the only place payloads are encoded or
+    decoded. The coordinator calls the full surface; a worker only
+    ``beat``/``stop_requested``/``pending_ids``/``claim``/``complete``/
+    ``abandon``. Implementations must keep two invariants the contract
+    suite enforces:
 
-    * **claim exclusivity** — for one shard id, at most one concurrent
-      :meth:`claim` returns a :class:`Claim`; everyone else gets ``None``.
-    * **conditional requeue** — :meth:`requeue` returns the shard to
-      pending only while the token's claim is still live, so a worker that
-      completed after being declared dead is never double-queued (the done
-      payload wins).
+    * **take exclusivity** — for one shard id, at most one concurrent
+      :meth:`take` returns bytes; everyone else gets ``None``.
+    * **done wins** — :meth:`put_result` releases the shard's claim, and
+      :meth:`requeue` returns a shard to pending only while ``worker_id``
+      still holds it, so a worker that completed after being declared dead
+      is never double-queued.
     """
 
     scheme = "?"
+    log_dir: Optional[str] = None
+    """Where spawned local workers' stdio lands; ``None``: the caller picks."""
 
-    # -- queue lifecycle (coordinator) ---------------------------------
-    def reset(self) -> None:
-        """Clear a previous sweep's protocol state from a reused queue."""
-        raise NotImplementedError
+    # -- wire policy -----------------------------------------------------
+    def _source(self, shard_id: int) -> str:
+        return f"shard-{shard_id:04d} on {self.worker_target()}"
 
     def enqueue(self, shard: Any) -> None:
         """Queue one shard (its ``shard_id`` names it)."""
         self.put_pending(shard.shard_id, encode_wire(shard))
-
-    def put_pending(self, shard_id: int, data: bytes) -> None:
-        """Place raw wire bytes in the pending queue (enqueue's low half).
-
-        Exposed separately so the contract suite can inject torn or
-        version-skewed payloads through the same door real ones use.
-        """
-        raise NotImplementedError
-
-    def stop(self) -> None:
-        """Raise the queue-wide STOP flag (workers drain out)."""
-        raise NotImplementedError
-
-    # -- results (coordinator) -----------------------------------------
-    def done_ids(self) -> List[int]:
-        raise NotImplementedError
-
-    def load_result(self, shard_id: int) -> Optional[Any]:
-        """The shard's result; ``None`` when absent/corrupt, loud on skew."""
-        raise NotImplementedError
-
-    def result_size(self, shard_id: int) -> int:
-        """The result payload's size in bytes (0 when absent) — economics."""
-        raise NotImplementedError
-
-    def discard_done(self, shard_id: int) -> None:
-        raise NotImplementedError
-
-    def put_result(self, shard_id: int, data: bytes) -> None:
-        """Place raw result bytes (complete's low half; contract-test door)."""
-        raise NotImplementedError
-
-    # -- claims (both sides) -------------------------------------------
-    def pending_ids(self) -> List[int]:
-        raise NotImplementedError
 
     def claim(self, shard_id: int, worker_id: str) -> Optional[Claim]:
         """Try to claim one pending shard; ``None`` if another worker won.
@@ -199,21 +159,80 @@ class Transport:
         drops out of the queue entirely (the coordinator re-enqueues from
         its in-memory copy once it notices the shard went missing).
         """
-        raise NotImplementedError
+        data = self.take(shard_id, worker_id)
+        if data is None:
+            return None
+        try:
+            payload = decode_wire(data, self._source(shard_id))
+        except WireFormatError:
+            self.requeue(shard_id, worker_id)
+            raise
+        if payload is None:
+            self.abandon(shard_id, worker_id)
+            return None
+        return Claim(shard=payload, worker_id=worker_id)
 
     def complete(self, claim: Claim, result: Any) -> None:
         """Publish the result and release the claim (done beats requeue)."""
+        self.put_result(claim.shard.shard_id, encode_wire(result))
+
+    def load_result(self, shard_id: int) -> Tuple[Optional[Any], int]:
+        """The shard's result and its size in bytes, from one fetch.
+
+        The result is ``None`` when absent (size 0) or corrupt; a payload
+        from an incompatible protocol version raises
+        :class:`WireFormatError`.
+        """
+        data = self.get_result(shard_id)
+        if data is None:
+            return None, 0
+        return decode_wire(data, self._source(shard_id)), len(data)
+
+    # -- byte primitives (backends) ---------------------------------------
+    def reset(self) -> None:
+        """Clear a previous sweep's protocol state from a reused queue."""
         raise NotImplementedError
 
-    def claims(self) -> List[Tuple[int, str, str]]:
-        """Live claims as ``(shard_id, worker_id, token)`` triples."""
+    def put_pending(self, shard_id: int, data: bytes) -> None:
+        """Place raw wire bytes in the pending queue."""
         raise NotImplementedError
 
-    def requeue(self, token: str) -> bool:
-        """Forfeit a claim back to pending; False when the claim is gone."""
+    def take(self, shard_id: int, worker_id: str) -> Optional[bytes]:
+        """Atomically move a pending shard to claimed; its bytes, or ``None``."""
         raise NotImplementedError
 
-    # -- liveness (both sides) -----------------------------------------
+    def abandon(self, shard_id: int, worker_id: str) -> None:
+        """Drop a claim held by ``worker_id`` without re-queueing it."""
+        raise NotImplementedError
+
+    def requeue(self, shard_id: int, worker_id: str) -> bool:
+        """Forfeit a claim back to pending; False when ``worker_id`` lost it."""
+        raise NotImplementedError
+
+    def put_result(self, shard_id: int, data: bytes) -> None:
+        """Publish raw result bytes and release the shard's claim."""
+        raise NotImplementedError
+
+    def get_result(self, shard_id: int) -> Optional[bytes]:
+        raise NotImplementedError
+
+    def discard_done(self, shard_id: int) -> None:
+        raise NotImplementedError
+
+    def pending_ids(self) -> List[int]:
+        raise NotImplementedError
+
+    def done_ids(self) -> List[int]:
+        raise NotImplementedError
+
+    def claims(self) -> List[Tuple[int, str]]:
+        """Live claims as ``(shard_id, worker_id)`` pairs."""
+        raise NotImplementedError
+
+    def stop(self) -> None:
+        """Raise the queue-wide STOP flag (workers drain out)."""
+        raise NotImplementedError
+
     def stop_requested(self) -> bool:
         raise NotImplementedError
 
@@ -230,19 +249,164 @@ class Transport:
         """
         raise NotImplementedError
 
-    # -- plumbing -------------------------------------------------------
     def worker_target(self) -> str:
         """What ``repro worker <target>`` needs to reach this queue."""
         raise NotImplementedError
 
-    def log_path(self, worker_id: str) -> str:
-        """Where a spawned local worker's stdio lands (always a local path)."""
-        if getattr(self, "_log_dir", None) is None:
-            self._log_dir = tempfile.mkdtemp(prefix="repro-worker-logs-")
-        return os.path.join(self._log_dir, f"{worker_id}.log")
 
-    def describe(self) -> str:
-        return f"{self.scheme} transport"
+_PENDING, _CLAIMED, _DONE, _HEARTS, _LOGS = (
+    "pending",
+    "claimed",
+    "done",
+    "hearts",
+    "logs",
+)
+_STOP = "STOP"
+_SHARD_RE = re.compile(r"^shard-(\d+)(?:@(.+))?\.pkl$")
+
+
+def _unlink(path: str) -> None:
+    try:
+        os.unlink(path)
+    except OSError:
+        pass
+
+
+class WorkDir(Transport):
+    """The filesystem transport: a shared directory both sides operate on.
+
+    Any filesystem the coordinator and workers can both reach (one
+    machine, NFS, or an rsync'd directory) is a cluster. The layout:
+
+    .. code-block:: text
+
+        work-dir/
+          pending/shard-0007.pkl        queued WorkShard (coordinator writes)
+          claimed/shard-0007@W.pkl      claimed by worker W (atomic rename)
+          done/shard-0007.pkl           ShardResult (atomic write; claim removed)
+          hearts/W                      worker W's heartbeat (mtime refreshed
+                                        between sessions = forward progress)
+          logs/W.log                    spawned local workers' stdio
+          STOP                          coordinator's shutdown signal
+
+    Every transition is an atomic rename (take: ``pending/ → claimed/``;
+    requeue: ``claimed/ → pending/``) or an atomic write (enqueue, done) —
+    the same torn-write discipline as the session cache — so concurrent
+    workers, processes or hosts, never observe a torn file and never
+    double-execute a shard they both tried to claim: exactly one wins the
+    rename.
+    """
+
+    scheme = "fs"
+
+    def __init__(self, root: str) -> None:
+        self.root = root
+        self.log_dir = os.path.join(root, _LOGS)
+        for sub in (_PENDING, _CLAIMED, _DONE, _HEARTS, _LOGS):
+            os.makedirs(os.path.join(root, sub), exist_ok=True)
+
+    def _path(self, sub: str, shard_id: int, worker_id: str = "") -> str:
+        owner = f"@{worker_id}" if worker_id else ""
+        return os.path.join(self.root, sub, f"shard-{shard_id:04d}{owner}.pkl")
+
+    def _listing(self, sub: str) -> List[Tuple[int, str]]:
+        """``(shard_id, worker_id or "")`` for every shard file in ``sub``."""
+        matches = (_SHARD_RE.match(name) for name in os.listdir(os.path.join(self.root, sub)))
+        return sorted((int(m.group(1)), m.group(2) or "") for m in matches if m)
+
+    def _write(self, path: str, data: bytes) -> None:
+        atomic_write(path, lambda handle: handle.write(data), prefix=".wire.")
+
+    def reset(self) -> None:
+        """Clear a previous sweep's protocol state from a reused work dir.
+
+        Stale ``done/`` files would satisfy this run's shard ids with old
+        verdicts, a stale ``STOP`` would make joining workers exit
+        immediately, and stale claims would be pointlessly re-queued — so
+        the coordinator wipes all of them before enqueueing (one sweep per
+        work dir at a time; logs are kept, they only ever append).
+        """
+        _unlink(os.path.join(self.root, _STOP))
+        for sub in (_PENDING, _CLAIMED, _DONE, _HEARTS):
+            for name in os.listdir(os.path.join(self.root, sub)):
+                _unlink(os.path.join(self.root, sub, name))
+
+    def put_pending(self, shard_id: int, data: bytes) -> None:
+        self._write(self._path(_PENDING, shard_id), data)
+
+    def take(self, shard_id: int, worker_id: str) -> Optional[bytes]:
+        claimed = self._path(_CLAIMED, shard_id, worker_id)
+        try:
+            os.rename(self._path(_PENDING, shard_id), claimed)
+        except OSError:
+            return None  # another worker won the rename (or nothing pending)
+        try:
+            with open(claimed, "rb") as handle:
+                return handle.read()
+        except OSError:
+            return b""  # unreadable reads as corrupt: the claim is abandoned
+
+    def abandon(self, shard_id: int, worker_id: str) -> None:
+        _unlink(self._path(_CLAIMED, shard_id, worker_id))
+
+    def requeue(self, shard_id: int, worker_id: str) -> bool:
+        """Rename the claim file, which still holds the shard, back to pending."""
+        try:
+            os.rename(
+                self._path(_CLAIMED, shard_id, worker_id),
+                self._path(_PENDING, shard_id),
+            )
+        except OSError:
+            return False  # the worker completed after all: done wins
+        return True
+
+    def put_result(self, shard_id: int, data: bytes) -> None:
+        self._write(self._path(_DONE, shard_id), data)
+        for claimed, worker_id in self.claims():
+            if claimed == shard_id:
+                _unlink(self._path(_CLAIMED, shard_id, worker_id))
+
+    def get_result(self, shard_id: int) -> Optional[bytes]:
+        try:
+            with open(self._path(_DONE, shard_id), "rb") as handle:
+                return handle.read()
+        except OSError:
+            return None
+
+    def discard_done(self, shard_id: int) -> None:
+        _unlink(self._path(_DONE, shard_id))
+
+    def pending_ids(self) -> List[int]:
+        return [sid for sid, owner in self._listing(_PENDING) if not owner]
+
+    def done_ids(self) -> List[int]:
+        return [sid for sid, _ in self._listing(_DONE)]
+
+    def claims(self) -> List[Tuple[int, str]]:
+        return [(sid, owner) for sid, owner in self._listing(_CLAIMED) if owner]
+
+    def stop(self) -> None:
+        with open(os.path.join(self.root, _STOP), "w", encoding="utf-8") as handle:
+            handle.write("stop\n")
+
+    def stop_requested(self) -> bool:
+        return os.path.exists(os.path.join(self.root, _STOP))
+
+    def beat(self, worker_id: str) -> None:
+        path = os.path.join(self.root, _HEARTS, worker_id)
+        with open(path, "a", encoding="utf-8"):
+            pass
+        os.utime(path, None)
+
+    def heartbeat_mtime(self, worker_id: str) -> Optional[float]:
+        """The heartbeat file's raw mtime; ``None`` when it doesn't exist."""
+        try:
+            return os.path.getmtime(os.path.join(self.root, _HEARTS, worker_id))
+        except OSError:
+            return None
+
+    def worker_target(self) -> str:
+        return self.root
 
 
 class InMemoryTransport(Transport):
@@ -278,9 +442,6 @@ class InMemoryTransport(Transport):
                 cls._shared[name] = cls(name)
             return cls._shared[name]
 
-    def _source(self, shard_id: int) -> str:
-        return f"shard-{shard_id:04d} (memory://{self.name})"
-
     def reset(self) -> None:
         with self._lock:
             self._pending.clear()
@@ -293,6 +454,56 @@ class InMemoryTransport(Transport):
         with self._lock:
             self._pending[shard_id] = data
 
+    def take(self, shard_id: int, worker_id: str) -> Optional[bytes]:
+        with self._lock:
+            data = self._pending.pop(shard_id, None)
+            if data is not None:
+                self._claimed[shard_id] = (worker_id, data)
+            return data
+
+    def abandon(self, shard_id: int, worker_id: str) -> None:
+        with self._lock:
+            held = self._claimed.get(shard_id)
+            if held is not None and held[0] == worker_id:
+                del self._claimed[shard_id]
+
+    def requeue(self, shard_id: int, worker_id: str) -> bool:
+        with self._lock:
+            held = self._claimed.get(shard_id)
+            if held is None or held[0] != worker_id:
+                return False  # completed or already forfeited — done wins
+            del self._claimed[shard_id]
+            self._pending[shard_id] = held[1]
+            return True
+
+    def put_result(self, shard_id: int, data: bytes) -> None:
+        with self._lock:
+            self._done[shard_id] = data
+            self._claimed.pop(shard_id, None)
+
+    def get_result(self, shard_id: int) -> Optional[bytes]:
+        with self._lock:
+            return self._done.get(shard_id)
+
+    def discard_done(self, shard_id: int) -> None:
+        with self._lock:
+            self._done.pop(shard_id, None)
+
+    def pending_ids(self) -> List[int]:
+        with self._lock:
+            return sorted(self._pending)
+
+    def done_ids(self) -> List[int]:
+        with self._lock:
+            return sorted(self._done)
+
+    def claims(self) -> List[Tuple[int, str]]:
+        with self._lock:
+            return [
+                (shard_id, worker_id)
+                for shard_id, (worker_id, _) in sorted(self._claimed.items())
+            ]
+
     def stop(self) -> None:
         with self._lock:
             self._stop = True
@@ -300,82 +511,6 @@ class InMemoryTransport(Transport):
     def stop_requested(self) -> bool:
         with self._lock:
             return self._stop
-
-    def done_ids(self) -> List[int]:
-        with self._lock:
-            return sorted(self._done)
-
-    def load_result(self, shard_id: int) -> Optional[Any]:
-        with self._lock:
-            data = self._done.get(shard_id)
-        if data is None:
-            return None
-        return decode_wire(data, self._source(shard_id))
-
-    def result_size(self, shard_id: int) -> int:
-        with self._lock:
-            data = self._done.get(shard_id)
-        return len(data) if data is not None else 0
-
-    def discard_done(self, shard_id: int) -> None:
-        with self._lock:
-            self._done.pop(shard_id, None)
-
-    def put_result(self, shard_id: int, data: bytes) -> None:
-        with self._lock:
-            self._done[shard_id] = data
-
-    def pending_ids(self) -> List[int]:
-        with self._lock:
-            return sorted(self._pending)
-
-    def claim(self, shard_id: int, worker_id: str) -> Optional[Claim]:
-        with self._lock:
-            data = self._pending.pop(shard_id, None)
-            if data is None:
-                return None
-            self._claimed[shard_id] = (worker_id, data)
-        try:
-            payload = decode_wire(data, self._source(shard_id))
-        except WireFormatError:
-            # Back to pending for a compatible worker; executing a schema
-            # this process does not speak is never an option.
-            self.requeue(f"{shard_id}@{worker_id}")
-            raise
-        if payload is None:
-            # Corrupt payload: drop the claim entirely; the coordinator
-            # re-enqueues from its in-memory copy once the shard is lost.
-            with self._lock:
-                held = self._claimed.get(shard_id)
-                if held is not None and held[0] == worker_id:
-                    self._claimed.pop(shard_id)
-            return None
-        return Claim(shard=payload, token=f"{shard_id}@{worker_id}")
-
-    def complete(self, claim: Claim, result: Any) -> None:
-        shard_id, worker_id = _parse_token(claim.token)
-        with self._lock:
-            self._done[shard_id] = encode_wire(result)
-            held = self._claimed.get(shard_id)
-            if held is not None and held[0] == worker_id:
-                self._claimed.pop(shard_id)
-
-    def claims(self) -> List[Tuple[int, str, str]]:
-        with self._lock:
-            return [
-                (shard_id, worker_id, f"{shard_id}@{worker_id}")
-                for shard_id, (worker_id, _) in sorted(self._claimed.items())
-            ]
-
-    def requeue(self, token: str) -> bool:
-        shard_id, worker_id = _parse_token(token)
-        with self._lock:
-            held = self._claimed.get(shard_id)
-            if held is None or held[0] != worker_id:
-                return False  # completed or already forfeited — done wins
-            self._claimed.pop(shard_id)
-            self._pending[shard_id] = held[1]
-            return True
 
     def beat(self, worker_id: str) -> None:
         with self._lock:
@@ -389,33 +524,10 @@ class InMemoryTransport(Transport):
     def worker_target(self) -> str:
         return f"memory://{self.name}"
 
-    def describe(self) -> str:
-        return f"memory transport ({self.name or 'anonymous'})"
-
-
-def _parse_token(token: str) -> Tuple[int, str]:
-    """Split a ``"<shard_id>@<worker_id>"`` lease token.
-
-    Worker ids are sanitized to ``[A-Za-z0-9_.-]`` before they reach any
-    token (see :func:`repro.experiments.distrib.sanitize_worker_id`), so
-    the first ``@`` is always the separator.
-    """
-    shard, _, worker = token.partition("@")
-    try:
-        return int(shard), worker
-    except ValueError:
-        raise ReproError(f"malformed claim token {token!r}") from None
-
 
 # ----------------------------------------------------------------------
 # Backend registry
 # ----------------------------------------------------------------------
-
-def _make_filesystem(target: str) -> Transport:
-    from repro.experiments.distrib import WorkDir
-
-    return WorkDir(target)
-
 
 def _make_memory(target: str) -> Transport:
     name = target.partition("://")[2]
@@ -429,33 +541,23 @@ def _make_http(target: str) -> Transport:
 
 
 TRANSPORT_SCHEMES: Dict[str, Callable[[str], Transport]] = {
-    "fs": _make_filesystem,
+    "fs": WorkDir,
     "memory": _make_memory,
     "http": _make_http,
 }
-"""Registered backends: URL scheme -> factory taking the full target string.
+"""The backends: URL scheme -> factory taking the full target string.
 
 ``tests/test_transport_contract.py`` asserts every entry here has a
-contract-suite subclass, so a new backend cannot register without
+contract-suite subclass, so a new backend cannot be added without
 inheriting the behavioral tests.
 """
-
-
-def register_transport(scheme: str, factory: Callable[[str], Transport]) -> None:
-    """Register a backend under a URL scheme (``https`` rides ``http``)."""
-    TRANSPORT_SCHEMES[scheme] = factory
-
-
-def registered_schemes() -> List[str]:
-    return sorted(TRANSPORT_SCHEMES)
 
 
 def create_transport(target: str) -> Transport:
     """Resolve a worker/coordinator target string to a live transport.
 
     ``http://`` / ``https://`` / ``memory://`` dispatch on their scheme;
-    anything else is a filesystem work-dir path (the PR 4 contract —
-    ``repro worker <dir>`` keeps working unchanged).
+    anything else is a filesystem work-dir path (``repro worker <dir>``).
     """
     scheme, sep, _ = target.partition("://")
     if sep and scheme in TRANSPORT_SCHEMES:
@@ -465,6 +567,6 @@ def create_transport(target: str) -> Transport:
     if sep:
         raise ReproError(
             f"unknown transport scheme {scheme!r} in {target!r}; "
-            f"registered: {registered_schemes()} (or a filesystem path)"
+            f"known: {sorted(TRANSPORT_SCHEMES)} (or a filesystem path)"
         )
     return TRANSPORT_SCHEMES["fs"](target)

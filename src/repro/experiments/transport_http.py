@@ -16,7 +16,7 @@ every joining host. Like a filesystem work dir, one queue hosts one sweep
 at a time.
 
 Payload bytes cross the network exactly as they would cross a rename, so
-:func:`~repro.experiments.transport.decode_wire`'s guarantees carry over
+:class:`~repro.experiments.transport.Transport`'s wire policy carries over
 unchanged: a torn/corrupt payload degrades to a re-enqueue, a cleanly
 readable payload with a different ``WIRE_FORMAT`` fails loud.
 """
@@ -27,17 +27,10 @@ import json
 import re
 import urllib.error
 import urllib.request
-from typing import Any, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.errors import ReproError
-from repro.experiments.transport import (
-    Claim,
-    Transport,
-    WireFormatError,
-    _parse_token,
-    decode_wire,
-    encode_wire,
-)
+from repro.experiments.transport import Transport
 
 _TARGET_RE = re.compile(
     r"^(?P<base>https?://[^/]+)(?:/queues/(?P<queue>[A-Za-z0-9_.-]+))?/?$"
@@ -109,10 +102,14 @@ class HttpTransport(Transport):
         _, data = self._request("GET", "")
         return json.loads(data)
 
-    def _source(self, shard_id: int) -> str:
-        return f"shard-{shard_id:04d} ({self._url('')})"
+    def _claim_op(self, op: str, shard_id: int, worker_id: str) -> Tuple[int, bytes]:
+        """POST a claim transition; 409 means ``worker_id`` does not hold it."""
+        return self._request(
+            "POST", f"/shards/{shard_id}/{op}?worker={worker_id}", body=b"",
+            tolerate=(409,),
+        )
 
-    # -- Transport surface ------------------------------------------------
+    # -- Transport byte primitives ------------------------------------------
 
     def reset(self) -> None:
         self._request("POST", "/reset", body=b"")
@@ -120,11 +117,29 @@ class HttpTransport(Transport):
     def put_pending(self, shard_id: int, data: bytes) -> None:
         self._request("PUT", f"/shards/{shard_id}", body=data)
 
-    def stop(self) -> None:
-        self._request("POST", "/stop", body=b"")
+    def take(self, shard_id: int, worker_id: str) -> Optional[bytes]:
+        # 409: another worker won the conditional UPDATE.
+        status, data = self._claim_op("claim", shard_id, worker_id)
+        return data if status == 200 else None
 
-    def stop_requested(self) -> bool:
-        return bool(self._status()["stop"])
+    def abandon(self, shard_id: int, worker_id: str) -> None:
+        self._claim_op("abandon", shard_id, worker_id)
+
+    def requeue(self, shard_id: int, worker_id: str) -> bool:
+        status, _ = self._claim_op("requeue", shard_id, worker_id)
+        return status == 200
+
+    def put_result(self, shard_id: int, data: bytes) -> None:
+        self._request("PUT", f"/shards/{shard_id}/result", body=data)
+
+    def get_result(self, shard_id: int) -> Optional[bytes]:
+        status, data = self._request(
+            "GET", f"/shards/{shard_id}/result", tolerate=(404,)
+        )
+        return data if status == 200 else None
+
+    def discard_done(self, shard_id: int) -> None:
+        self._request("DELETE", f"/shards/{shard_id}/result")
 
     def pending_ids(self) -> List[int]:
         return [int(sid) for sid in self._status()["pending"]]
@@ -132,70 +147,14 @@ class HttpTransport(Transport):
     def done_ids(self) -> List[int]:
         return [int(sid) for sid in self._status()["done"]]
 
-    def claims(self) -> List[Tuple[int, str, str]]:
-        return [
-            (int(sid), str(worker), f"{int(sid)}@{worker}")
-            for sid, worker in self._status()["claims"]
-        ]
+    def claims(self) -> List[Tuple[int, str]]:
+        return [(int(sid), str(worker)) for sid, worker in self._status()["claims"]]
 
-    def claim(self, shard_id: int, worker_id: str) -> Optional[Claim]:
-        status, data = self._request(
-            "POST", f"/shards/{shard_id}/claim?worker={worker_id}", body=b"",
-            tolerate=(409,),
-        )
-        if status == 409:
-            return None  # another worker won the conditional UPDATE
-        token = f"{shard_id}@{worker_id}"
-        try:
-            payload = decode_wire(data, self._source(shard_id))
-        except WireFormatError:
-            # Skew: hand the shard back for a compatible worker, then fail
-            # loud — this process must not execute a schema it can't read.
-            self.requeue(token)
-            raise
-        if payload is None:
-            # Corrupt in transit/storage: drop the shard entirely so the
-            # coordinator re-enqueues it from its in-memory copy.
-            self._request(
-                "POST", f"/shards/{shard_id}/abandon?worker={worker_id}",
-                body=b"", tolerate=(409,),
-            )
-            return None
-        return Claim(shard=payload, token=token)
+    def stop(self) -> None:
+        self._request("POST", "/stop", body=b"")
 
-    def complete(self, claim: Claim, result: Any) -> None:
-        shard_id, _ = _parse_token(claim.token)
-        self._request(
-            "PUT", f"/shards/{shard_id}/result", body=encode_wire(result)
-        )
-
-    def requeue(self, token: str) -> bool:
-        shard_id, worker_id = _parse_token(token)
-        status, _ = self._request(
-            "POST", f"/shards/{shard_id}/requeue?worker={worker_id}", body=b"",
-            tolerate=(409,),
-        )
-        return status == 200
-
-    def put_result(self, shard_id: int, data: bytes) -> None:
-        self._request("PUT", f"/shards/{shard_id}/result", body=data)
-
-    def load_result(self, shard_id: int) -> Optional[Any]:
-        status, data = self._request(
-            "GET", f"/shards/{shard_id}/result", tolerate=(404,)
-        )
-        if status == 404:
-            return None
-        return decode_wire(data, self._source(shard_id))
-
-    def result_size(self, shard_id: int) -> int:
-        status, data = self._request(
-            "GET", f"/shards/{shard_id}/result", tolerate=(404,)
-        )
-        return len(data) if status == 200 else 0
-
-    def discard_done(self, shard_id: int) -> None:
-        self._request("DELETE", f"/shards/{shard_id}/result")
+    def stop_requested(self) -> bool:
+        return bool(self._status()["stop"])
 
     def beat(self, worker_id: str) -> None:
         self._request("POST", f"/workers/{worker_id}/beat", body=b"")
@@ -210,6 +169,3 @@ class HttpTransport(Transport):
 
     def worker_target(self) -> str:
         return f"{self.base}/queues/{self.queue}"
-
-    def describe(self) -> str:
-        return f"http transport ({self.worker_target()})"

@@ -56,8 +56,9 @@ def atomic_pickle(
 ) -> None:
     """Pickle ``payload`` to ``path`` atomically (highest protocol).
 
-    The one sanctioned way to put a pickle under a final name: both the
-    session cache and the work-dir wire protocol route through here.
+    The one sanctioned way to put a pickle under a final name (the session
+    cache routes through here; the work-dir transport writes
+    already-pickled wire bytes through :func:`atomic_write`).
     """
     atomic_write(
         path,

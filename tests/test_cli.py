@@ -173,7 +173,7 @@ class TestExperimentOptions:
         assert {"--cache-dir", "--id", "--poll-s", "--idle-timeout-s"} <= opts
 
     def test_worker_on_stopped_dir_exits_cleanly(self, workdir, capsys):
-        from repro.experiments.distrib import WorkDir
+        from repro.experiments.transport import WorkDir
 
         root = os.path.join(workdir, "stopped-workdir")
         WorkDir(root).stop()

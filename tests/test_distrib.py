@@ -1,12 +1,12 @@
-"""Distribution tests: sharding, the work-dir protocol, requeue, merge parity.
+"""Distribution tests: sharding, worker and coordinator loops, requeue, merge parity.
 
-The properties that make ``repro sweep --hosts N [--workers M]`` trustworthy:
+The properties that make ``repro sweep --hosts N [--workers M]`` trustworthy
+(the queue backends themselves are pinned by ``test_transport_contract.py``):
 
 * cost-balanced, deterministic sharding — golden-grouped scenario LPT
   with host-filling splits;
-* the pending/claimed/done protocol is race-free and torn-write-safe
-  (every transition is an atomic rename), and a *version-skewed* payload
-  fails loud instead of being executed, merged, or silently re-queued;
+* a *version-skewed* payload fails loud at the coordinator and is skipped
+  by workers instead of being executed, merged, or silently re-queued;
 * a worker executes claimed shards as one parallel failure-isolated batch,
   beating its heartbeat per completed session, so worker-internal
   parallelism never reads as a wedge — while a genuinely hung worker still
@@ -18,10 +18,11 @@ The properties that make ``repro sweep --hosts N [--workers M]`` trustworthy:
 * a warm shared cache makes a repeat distributed run a zero-worker no-op.
 """
 
+import glob
 import os
-import pickle
 import socketserver
 import sys
+import tempfile
 import textwrap
 import threading
 import time
@@ -35,19 +36,21 @@ from repro.errors import ReproError
 from repro.experiments.batch import SessionCache, run_sessions
 from repro.experiments.distrib import (
     PAYLOAD_SHRINK_FLOOR,
-    WIRE_FORMAT,
     Coordinator,
     ScenarioJob,
     SessionDigest,
     ShardResult,
-    WireFormatError,
-    WorkDir,
     WorkShard,
     Worker,
     sanitize_worker_id,
     scenario_shards,
 )
-from repro.experiments.transport import InMemoryTransport
+from repro.experiments.transport import (
+    WIRE_FORMAT,
+    InMemoryTransport,
+    WireFormatError,
+    WorkDir,
+)
 from repro.experiments.transport_http import HttpTransport
 
 
@@ -149,50 +152,28 @@ class TestWorkerIds:
 
 
 class TestWorkDirProtocol:
-    def test_enqueue_claim_complete_roundtrip(self, spec, tmp_path):
-        work = WorkDir(str(tmp_path))
-        shard = WorkShard(3, (_job(3, spec, name="x"),))
-        work.enqueue(shard)
-        assert work.pending_files() == ["shard-0003.pkl"]
-
-        claim = work.claim("shard-0003.pkl", "w1")
-        assert claim is not None
-        assert claim.shard.shard_id == 3
-        assert claim.shard.jobs[0].name == "x"
-        assert work.pending_files() == []
-        assert work.claims() == [(3, "w1", claim.path)]
-
-        result = ShardResult(3, "w1", 0.5)
-        work.complete(claim, result)
-        assert work.done_ids() == [3]
-        assert work.claims() == []  # claim file removed on completion
-        loaded = work.load_result(3)
-        assert loaded.worker_id == "w1" and loaded.shard_id == 3
-        assert work.result_size(3) > 0
-        assert work.result_size(99) == 0
-
     def test_claim_is_exclusive(self, spec, tmp_path):
         work = WorkDir(str(tmp_path))
         work.enqueue(WorkShard(0, (_job(0, spec),)))
-        assert work.claim("shard-0000.pkl", "w1") is not None
-        assert work.claim("shard-0000.pkl", "w2") is None
+        assert work.claim(0, "w1") is not None
+        assert work.claim(0, "w2") is None
 
     def test_requeue_restores_pending(self, spec, tmp_path):
         work = WorkDir(str(tmp_path))
         work.enqueue(WorkShard(0, (_job(0, spec, name="re"),)))
-        claim = work.claim("shard-0000.pkl", "dead-worker")
-        assert work.pending_files() == []
-        assert work.requeue(claim.path)
-        assert work.pending_files() == ["shard-0000.pkl"]
+        assert work.claim(0, "dead-worker") is not None
+        assert work.pending_ids() == []
+        assert work.requeue(0, "dead-worker")
+        assert work.pending_ids() == [0]
         # Another worker can now claim the restored shard intact.
-        reclaimed = work.claim("shard-0000.pkl", "w2")
+        reclaimed = work.claim(0, "w2")
         assert reclaimed.shard.jobs[0].name == "re"
 
     def test_corrupt_shard_is_dropped_not_executed(self, tmp_path):
         work = WorkDir(str(tmp_path))
         path = os.path.join(str(tmp_path), "pending", "shard-0001.pkl")
         corrupt_file(path, b"torn write garbage")
-        assert work.claim("shard-0001.pkl", "w1") is None
+        assert work.claim(1, "w1") is None
         assert work.claims() == []  # the poisoned claim was not kept
 
     def test_corrupt_done_file_reads_as_absent(self, tmp_path):
@@ -201,7 +182,7 @@ class TestWorkDirProtocol:
             os.path.join(str(tmp_path), "done", "shard-0002.pkl"), b"\x80garbage"
         )
         assert work.done_ids() == [2]
-        assert work.load_result(2) is None
+        assert work.load_result(2)[0] is None
 
     def test_stop_flag(self, tmp_path):
         work = WorkDir(str(tmp_path))
@@ -211,26 +192,26 @@ class TestWorkDirProtocol:
 
     def test_heartbeat_age(self, tmp_path):
         work = WorkDir(str(tmp_path))
-        assert work.heartbeat_age_s("nobody") is None
+        assert work.heartbeat_mtime("nobody") is None
         work.beat("w1")
-        age = work.heartbeat_age_s("w1")
-        assert age is not None and age < 5.0
+        mtime = work.heartbeat_mtime("w1")
+        assert mtime is not None and time.time() - mtime < 5.0
 
     def test_reset_clears_previous_sweep_state(self, spec, tmp_path):
         work = WorkDir(str(tmp_path))
         work.enqueue(WorkShard(0, (_job(0, spec),)))
-        claim = work.claim("shard-0000.pkl", "w1")
+        claim = work.claim(0, "w1")
         work.complete(claim, ShardResult(0, "w1", 0.1))
         work.enqueue(WorkShard(1, (_job(1, spec),)))
-        work.claim("shard-0001.pkl", "w1")
+        work.claim(1, "w1")
         work.beat("w1")
         work.stop()
         work.reset()
         assert not work.stop_requested()
-        assert work.pending_files() == []
+        assert work.pending_ids() == []
         assert work.claims() == []
         assert work.done_ids() == []
-        assert work.heartbeat_age_s("w1") is None
+        assert work.heartbeat_mtime("w1") is None
 
 
 class TestWireFormatSkew:
@@ -265,7 +246,7 @@ class TestWireFormatSkew:
             coordinator._collect_done(work, shards, {}, {})
         # Crucially it did NOT silently re-enqueue the shard: that would
         # collect the same skewed result forever.
-        assert work.pending_files() == []
+        assert work.pending_ids() == []
 
     def test_corrupt_done_degrades_to_requeue(self, spec, tmp_path):
         work = WorkDir(str(tmp_path))
@@ -279,7 +260,7 @@ class TestWireFormatSkew:
             work, shards, done, {}
         )
         assert done == {}
-        assert work.pending_files() == ["shard-0000.pkl"]  # re-enqueued
+        assert work.pending_ids() == [0]  # re-enqueued
 
     def test_claim_restores_pending_on_version_mismatch(self, tmp_path):
         work = WorkDir(str(tmp_path))
@@ -288,10 +269,10 @@ class TestWireFormatSkew:
             WIRE_FORMAT + 1,
         )
         with pytest.raises(WireFormatError):
-            work.claim("shard-0000.pkl", "w1")
+            work.claim(0, "w1")
         # The shard went back to pending for a compatible worker; no claim
         # was kept, and nothing was executed.
-        assert work.pending_files() == ["shard-0000.pkl"]
+        assert work.pending_ids() == [0]
         assert work.claims() == []
 
     def test_worker_skips_incompatible_shard_without_executing(self, tmp_path):
@@ -302,13 +283,13 @@ class TestWireFormatSkew:
         )
         worker = Worker(work, worker_id="w1", idle_timeout_s=0.0)
         assert worker.run() == 0
-        assert work.pending_files() == ["shard-0000.pkl"]
+        assert work.pending_ids() == [0]
         assert work.done_ids() == []
 
     def test_same_version_payload_roundtrips(self, spec, tmp_path):
         work = WorkDir(str(tmp_path))
         work.enqueue(WorkShard(0, (_job(0, spec, name="ok"),)))
-        claim = work.claim("shard-0000.pkl", "w1")
+        claim = work.claim(0, "w1")
         assert claim is not None and claim.shard.jobs[0].name == "ok"
 
 
@@ -320,11 +301,11 @@ class TestWorker:
         work.enqueue(WorkShard(0, jobs))
         worker = Worker(work, worker_id="w1", idle_timeout_s=0.0)
         assert worker.run() == 1
-        result = work.load_result(0)
+        result, _ = work.load_result(0)
         assert result.worker_id == "w1"
         assert result.failures == 0
         assert result.sessions == 2
-        assert work.heartbeat_age_s("w1") is not None
+        assert work.heartbeat_mtime("w1") is not None
         # Parity with an in-process run and scoring of the same jobs.
         _assert_rows_match_local(result.rows, jobs)
 
@@ -333,7 +314,7 @@ class TestWorker:
         job = _job(index=7, spec=spec)
         work.enqueue(WorkShard(0, jobs=(job,)))
         assert Worker(work, worker_id="w1", idle_timeout_s=0.0).run() == 1
-        result = work.load_result(0)
+        result, _ = work.load_result(0)
         assert len(result.rows) == 1
         row = result.rows[0]
         assert row.index == 7
@@ -370,7 +351,7 @@ class TestWorker:
         )
         work.enqueue(WorkShard(0, jobs=jobs))
         assert Worker(work, worker_id="w1", idle_timeout_s=0.0).run() == 1
-        result = work.load_result(0)
+        result, _ = work.load_result(0)
         assert [row.golden.label for row in result.rows] == [
             "a/golden",
             "b/golden",
@@ -399,7 +380,7 @@ class TestWorker:
         )
         work.enqueue(WorkShard(0, jobs=jobs))
         assert Worker(work, worker_id="w1", idle_timeout_s=0.0).run() == 1
-        result = work.load_result(0)
+        result, _ = work.load_result(0)
         assert all(row.golden.failed for row in result.rows)
         assert result.failures == 1  # one failed session, not one per row
 
@@ -410,7 +391,7 @@ class TestWorker:
         jobs = (_job(0, spec, golden=spec(trojan_id="T999")),)
         work.enqueue(WorkShard(0, jobs))
         assert Worker(work, worker_id="w1", idle_timeout_s=0.0).run() == 1
-        result = work.load_result(0)
+        result, _ = work.load_result(0)
         assert result.failures == 1
         row = result.rows[0]
         assert row.golden.failed and "T999" in row.golden.error
@@ -422,7 +403,7 @@ class TestWorker:
         job = _job(index=0, spec=spec, trojan_id="T999", noise_sigma=0.0)
         work.enqueue(WorkShard(0, jobs=(job,)))
         assert Worker(work, worker_id="w1", idle_timeout_s=0.0).run() == 1
-        result = work.load_result(0)
+        result, _ = work.load_result(0)
         assert result.failures == 1
         row = result.rows[0]
         assert row.suspect.failed and "T999" in row.suspect.error
@@ -444,7 +425,7 @@ class TestWorker:
         work.stop()
         assert Worker(work, worker_id="w1").run() == 0
         assert work.done_ids() == []
-        assert work.pending_files() == ["shard-0000.pkl"]
+        assert work.pending_ids() == [0]
 
 
 @pytest.mark.slow
@@ -457,7 +438,7 @@ class TestHeartbeatUnderParallelism:
         jobs = tuple(_job(i, spec, noise_seed=50 + i) for i in range(2))
         work.enqueue(WorkShard(0, jobs))
         worker = Worker(work, worker_id="w1", idle_timeout_s=0.0, workers=2)
-        claim = work.claim("shard-0000.pkl", "w1")
+        claim = work.claim(0, "w1")
         beats = []
         original = work.beat
         work.beat = lambda worker_id: (beats.append(worker_id), original(worker_id))
@@ -513,13 +494,13 @@ class TestHeartbeatUnderParallelism:
             textwrap.dedent(
                 """
                 import sys, time
-                from repro.experiments.distrib import WorkDir
+                from repro.experiments.transport import WorkDir
 
                 work = WorkDir(sys.argv[1])
                 work.beat("wedge")
                 while True:
-                    for name in work.pending_files():
-                        if work.claim(name, "wedge"):
+                    for shard_id in work.pending_ids():
+                        if work.claim(shard_id, "wedge"):
                             time.sleep(600)  # hang: alive, never beating again
                     time.sleep(0.01)
                 """
@@ -548,7 +529,7 @@ class TestHeartbeatUnderParallelism:
         coordinator = Sabotaged(
             hosts=2,
             cache=sweep_env.cache(),
-            work_dir=sweep_env.work_dir(),
+            transport=sweep_env.work_dir(),
             heartbeat_timeout_s=2.0,
             timeout_s=240,
         )
@@ -669,9 +650,7 @@ class TestTransportFaultInjection:
             thread.join()
         assert errors == []
         assert len(wins) == 1
-        assert [
-            (sid, worker) for sid, worker, _ in claimers[0].claims()
-        ] == [(0, f"host{wins[0]}")]
+        assert claimers[0].claims() == [(0, f"host{wins[0]}")]
 
     def test_heartbeat_forfeiture_over_http(
         self, spec, shard_server, monkeypatch
@@ -757,6 +736,33 @@ class TestTransportFaultInjection:
         assert {"straggler", "late"} <= workers_seen
         _assert_rows_match_local(result.rows, jobs)
 
+    @pytest.mark.slow
+    def test_http_sweep_removes_its_worker_log_dir(
+        self, spec, sweep_env, shard_server, tmp_path, monkeypatch
+    ):
+        """Spawned workers of a backend without a work dir log into a temp
+        dir the coordinator owns — and removes when the run ends."""
+        made = []
+        mkdtemp = tempfile.mkdtemp
+
+        def recording_mkdtemp(*args, **kwargs):
+            made.append(mkdtemp(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        monkeypatch.setattr(tempfile, "mkdtemp", recording_mkdtemp)
+        jobs = [_job(0, spec)]
+        result = Coordinator(
+            hosts=1,
+            cache=sweep_env.cache(),
+            transport=f"{shard_server}/queues/log-dir",
+            timeout_s=240,
+        ).run(jobs)
+        _assert_rows_match_local(result.rows, jobs)
+        logs = [path for path in made if "repro-worker-logs-" in path]
+        assert len(logs) == 1 and os.path.dirname(logs[0]) == str(tmp_path)
+        assert glob.glob(str(tmp_path / "repro-worker-logs-*")) == []
+
 
 @pytest.mark.slow
 class TestCoordinator:
@@ -772,7 +778,7 @@ class TestCoordinator:
         result = Coordinator(
             hosts=2,
             cache=sweep_env.cache(),
-            work_dir=sweep_env.work_dir(),
+            transport=sweep_env.work_dir(),
             timeout_s=240,
         ).run(jobs)
         _assert_rows_match_local(result.rows, jobs)
@@ -790,7 +796,7 @@ class TestCoordinator:
         again = Coordinator(
             hosts=2,
             cache=warm_cache,
-            work_dir=sweep_env.work_dir("work2"),
+            transport=sweep_env.work_dir("work2"),
             timeout_s=60,
         ).run(jobs)
         assert again.sessions_dispatched == 0
@@ -806,7 +812,7 @@ class TestCoordinator:
         first = Coordinator(
             hosts=2,
             cache=sweep_env.cache("cache-a"),
-            work_dir=work_dir,
+            transport=work_dir,
             timeout_s=240,
         ).run(jobs)
         # A fresh cache dir forces full re-execution through the same
@@ -814,7 +820,7 @@ class TestCoordinator:
         second = Coordinator(
             hosts=2,
             cache=sweep_env.cache("cache-b"),
-            work_dir=work_dir,
+            transport=work_dir,
             timeout_s=240,
         ).run(jobs)
         assert second.sessions_dispatched == 3
@@ -838,7 +844,7 @@ class TestCoordinator:
         result = Coordinator(
             hosts=1,
             cache=cache,
-            work_dir=sweep_env.work_dir(),
+            transport=sweep_env.work_dir(),
             timeout_s=240,
         ).run(jobs)
         assert result.sessions_dispatched == 2
@@ -856,7 +862,7 @@ class TestCoordinator:
         result = Coordinator(
             hosts=2,
             cache=sweep_env.cache(),
-            work_dir=sweep_env.work_dir(),
+            transport=sweep_env.work_dir(),
             timeout_s=240,
         ).run(jobs)
         assert result.sessions_dispatched == 2
@@ -873,13 +879,13 @@ class TestCoordinator:
             textwrap.dedent(
                 """
                 import os, sys, time
-                from repro.experiments.distrib import WorkDir
+                from repro.experiments.transport import WorkDir
 
                 work = WorkDir(sys.argv[1])
                 work.beat("wedge")
                 while True:
-                    for name in work.pending_files():
-                        if work.claim(name, "wedge"):
+                    for shard_id in work.pending_ids():
+                        if work.claim(shard_id, "wedge"):
                             os._exit(1)  # die holding the claim
                     time.sleep(0.01)
                 """
@@ -907,7 +913,7 @@ class TestCoordinator:
         coordinator = Sabotaged(
             hosts=2,
             cache=sweep_env.cache(),
-            work_dir=sweep_env.work_dir(),
+            transport=sweep_env.work_dir(),
             heartbeat_timeout_s=2.0,
             timeout_s=240,
         )
@@ -920,7 +926,7 @@ class TestCoordinator:
         coordinator = Coordinator(
             hosts=2,
             cache=sweep_env.cache(),
-            work_dir=sweep_env.work_dir(),
+            transport=sweep_env.work_dir(),
             spawn_local=True,
             max_respawns=0,
             timeout_s=240,
@@ -954,7 +960,7 @@ class TestScoredDistribution:
         result = Coordinator(
             hosts=2,
             cache=sweep_env.cache(),
-            work_dir=sweep_env.work_dir(),
+            transport=sweep_env.work_dir(),
             timeout_s=240,
         ).run(jobs)
         assert result.payload_bytes > 0
@@ -967,14 +973,14 @@ class TestScoredDistribution:
         first = Coordinator(
             hosts=2,
             cache=sweep_env.cache(),
-            work_dir=sweep_env.work_dir(),
+            transport=sweep_env.work_dir(),
             timeout_s=240,
         ).run(jobs)
         warm_cache = sweep_env.cache()
         again = Coordinator(
             hosts=2,
             cache=warm_cache,
-            work_dir=sweep_env.work_dir("work2"),
+            transport=sweep_env.work_dir("work2"),
             timeout_s=60,
         ).run(jobs)
         # Nothing dispatched, nothing spawned, zero payload — and the
@@ -998,7 +1004,7 @@ class TestScoredDistribution:
         first = Coordinator(
             hosts=2,
             cache=sweep_env.cache(),
-            work_dir=sweep_env.work_dir(),
+            transport=sweep_env.work_dir(),
             timeout_s=240,
         ).run(jobs)
         suspect_key = jobs[1].suspect.content_key()
@@ -1008,7 +1014,7 @@ class TestScoredDistribution:
         again = Coordinator(
             hosts=2,
             cache=sweep_env.cache(),
-            work_dir=sweep_env.work_dir("work2"),
+            transport=sweep_env.work_dir("work2"),
             timeout_s=240,
         ).run(jobs)
         assert again.sessions_dispatched == 1  # exactly the corrupted session
@@ -1025,7 +1031,7 @@ class TestScoredDistribution:
         scored = Coordinator(
             hosts=2,
             cache=cache,
-            work_dir=sweep_env.work_dir(),
+            transport=sweep_env.work_dir(),
             timeout_s=240,
         ).run(jobs)
         # What full summaries would have shipped: the files the workers

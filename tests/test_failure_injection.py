@@ -132,14 +132,15 @@ class TestDistributedQueueFaults:
         import threading
         import time as _time
 
-        from repro.experiments.distrib import Coordinator, WorkDir, Worker
+        from repro.experiments.distrib import Coordinator, Worker
+        from repro.experiments.transport import WorkDir
         from tests.test_distrib import _assert_rows_match_local, _job
 
         spec = spec_factory(noise_sigma=0.0, cacheable=False)
         jobs = [_job(0, spec), _job(1, spec, noise_seed=7)]
         work = WorkDir(str(tmp_path / "work"))
         coordinator = Coordinator(
-            hosts=2, spawn_local=False, work_dir=work.root, timeout_s=240
+            hosts=2, spawn_local=False, transport=work, timeout_s=240
         )
         outcome = {}
 

@@ -422,9 +422,9 @@ class TestConc001:
         assert lint_tree(tmp_path).ok
 
     def test_shipped_work_dir_protocol_is_clean(self):
-        """distrib.py's claim/rename protocol passes its own new rule."""
+        """transport.py's claim/rename protocol passes its own new rule."""
         result = run_lint(
-            paths=["src/repro/experiments/distrib.py"], root=REPO_ROOT
+            paths=["src/repro/experiments/transport.py"], root=REPO_ROOT
         )
         assert [f for f in result.findings if f.rule == "CONC001"] == []
 

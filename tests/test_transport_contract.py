@@ -18,15 +18,19 @@ live threaded WSGI server, not a mock):
   incompatible protocol version raises :class:`WireFormatError` after
   handing the shard back to compatible workers;
 * **STOP propagation** and **reset**;
-* **done-payload round-trip** — results survive the wire byte-exactly;
+* **done-payload round-trip** — results survive the wire byte-exactly,
+  and ``load_result`` counts the bytes from the same single fetch;
+* **non-shard payloads** — a well-formed envelope around anything but a
+  shard is abandoned by the worker, never executed;
 * **heartbeat advancement** — what the coordinator's liveness watch
   actually reads.
 
-A new backend earns its place by registering a scheme *and* adding a
-subclass here; the meta-test at the bottom fails the build if a scheme
+A new backend earns its place by adding a scheme to ``TRANSPORT_SCHEMES``
+*and* a subclass here; the meta-test at the bottom fails the build if a scheme
 ships without contract coverage.
 """
 
+import os
 import pickle
 import socketserver
 import threading
@@ -35,13 +39,14 @@ from wsgiref.simple_server import WSGIRequestHandler, WSGIServer, make_server
 
 import pytest
 
-from repro.experiments.distrib import ShardResult, WorkDir, WorkShard
+from repro.experiments.distrib import Coordinator, ShardResult, WorkShard, Worker
 from repro.experiments.transport import (
+    TRANSPORT_SCHEMES,
     WIRE_FORMAT,
     InMemoryTransport,
     WireFormatError,
+    WorkDir,
     encode_wire,
-    registered_schemes,
 )
 from repro.experiments.transport_http import HttpTransport
 from repro.service.app import create_app
@@ -79,22 +84,26 @@ class TransportContractTests:
         assert claim is not None
         assert claim.shard.shard_id == 5
         assert transport.pending_ids() == []
-        assert [(sid, worker) for sid, worker, _ in transport.claims()] == [
-            (5, "w1")
-        ]
+        assert transport.claims() == [(5, "w1")]
 
         transport.complete(claim, _result(5))
         assert transport.done_ids() == [5]
         assert transport.claims() == []
-        loaded = transport.load_result(5)
+        loaded, nbytes = transport.load_result(5)
         assert isinstance(loaded, ShardResult)
         assert (loaded.shard_id, loaded.worker_id) == (5, "w1")
-        assert transport.result_size(5) > 0
+        assert nbytes > 0
 
         transport.discard_done(5)
         assert transport.done_ids() == []
-        assert transport.load_result(5) is None
-        assert transport.result_size(5) == 0
+        assert transport.load_result(5) == (None, 0)
+
+    def test_load_result_counts_the_wire_bytes(self, transport):
+        result = _result(8)
+        transport.put_result(8, encode_wire(result))
+        loaded, nbytes = transport.load_result(8)
+        assert (loaded.shard_id, loaded.worker_id) == (8, "w1")
+        assert nbytes == len(encode_wire(result))
 
     def test_claim_missing_shard_returns_none(self, transport):
         assert transport.claim(99, "w1") is None
@@ -127,34 +136,30 @@ class TransportContractTests:
         assert len(wins) == 1, f"expected exactly one winner, got {wins}"
         winner, claim = wins[0]
         assert claim.shard.shard_id == 0
-        assert [(sid, worker) for sid, worker, _ in transport.claims()] == [
-            (0, winner)
-        ]
+        assert transport.claims() == [(0, winner)]
         assert transport.pending_ids() == []
 
     def test_requeue_after_forfeit(self, transport):
         transport.enqueue(_shard(2))
         claim = transport.claim(2, "w1")
         assert claim is not None
-        assert transport.requeue(claim.token) is True
+        assert transport.requeue(2, "w1") is True
         assert transport.pending_ids() == [2]
         assert transport.claims() == []
         # The shard survives the round trip intact and is claimable again.
         reclaim = transport.claim(2, "w2")
         assert reclaim is not None
         assert reclaim.shard.shard_id == 2
-        # The original token is now stale: nothing to re-queue.
-        assert transport.requeue(claim.token) is False
-        assert [(sid, worker) for sid, worker, _ in transport.claims()] == [
-            (2, "w2")
-        ]
+        # The original claimer lost the shard: nothing to re-queue.
+        assert transport.requeue(2, "w1") is False
+        assert transport.claims() == [(2, "w2")]
 
     def test_requeue_stale_token_is_noop(self, transport):
         transport.enqueue(_shard(1))
         claim = transport.claim(1, "w1")
         transport.complete(claim, _result(1))
-        # The worker completed after all; the done file wins.
-        assert transport.requeue(claim.token) is False
+        # The worker completed after all; the done payload wins.
+        assert transport.requeue(1, claim.worker_id) is False
         assert transport.done_ids() == [1]
         assert transport.pending_ids() == []
 
@@ -184,7 +189,16 @@ class TransportContractTests:
     def test_corrupt_result_reads_as_absent(self, transport):
         transport.put_result(6, b"\x00torn result bytes")
         assert 6 in transport.done_ids()
-        assert transport.load_result(6) is None
+        assert transport.load_result(6)[0] is None
+
+    def test_worker_abandons_non_shard_payload(self, transport):
+        # A well-formed envelope around something that is not a shard: the
+        # worker must drop it, not crash on it or execute it.
+        transport.put_pending(0, encode_wire({"not": "a shard"}))
+        assert Worker(transport, worker_id="w1", idle_timeout_s=0.0).run() == 0
+        assert transport.pending_ids() == []
+        assert transport.claims() == []
+        assert transport.done_ids() == []
 
     def test_stop_propagation(self, transport):
         assert transport.stop_requested() is False
@@ -206,6 +220,7 @@ class TransportContractTests:
         assert transport.claims() == []
         assert transport.done_ids() == []
         assert transport.stop_requested() is False
+        assert transport.heartbeat_mtime("w1") is None
 
     def test_heartbeat_advances(self, transport):
         assert transport.heartbeat_mtime("w1") is None
@@ -236,6 +251,18 @@ class TestFilesystemTransportContract(TransportContractTests):
         work = WorkDir(str(tmp_path / "work"))
         work.reset()
         return work
+
+    def test_file_names_follow_the_shard_lifecycle(self, transport):
+        """External tooling reads the work dir: the file names are the API."""
+        def files(sub):
+            return sorted(os.listdir(os.path.join(transport.root, sub)))
+
+        transport.enqueue(_shard(3))
+        assert files("pending") == ["shard-0003.pkl"]
+        claim = transport.claim(3, "w1")
+        assert (files("pending"), files("claimed")) == ([], ["shard-0003@w1.pkl"])
+        transport.complete(claim, _result(3))
+        assert (files("claimed"), files("done")) == ([], ["shard-0003.pkl"])
 
 
 class TestInMemoryTransportContract(TransportContractTests):
@@ -289,11 +316,31 @@ def test_every_registered_scheme_has_contract_coverage():
         InMemoryTransport.scheme,
         HttpTransport.scheme,
     }
-    assert covered == set(registered_schemes()), (
-        "every registered transport scheme needs a TransportContractTests "
+    assert covered == set(TRANSPORT_SCHEMES), (
+        "every transport scheme needs a TransportContractTests "
         f"subclass; covered={sorted(covered)} "
-        f"registered={sorted(registered_schemes())}"
+        f"registered={sorted(TRANSPORT_SCHEMES)}"
     )
+
+
+def test_collect_done_fetches_each_result_once():
+    """One fetch per result: its bytes are counted from the same read."""
+    class Counting(InMemoryTransport):
+        fetches = 0
+
+        def get_result(self, shard_id):
+            Counting.fetches += 1
+            return super().get_result(shard_id)
+
+    work = Counting("collect-once")
+    shards = {sid: _shard(sid) for sid in range(3)}
+    for sid in shards:
+        work.put_result(sid, encode_wire(_result(sid)))
+    done, sizes = {}, {}
+    Coordinator(hosts=1, spawn_local=False)._collect_done(work, shards, done, sizes)
+    assert sorted(done) == [0, 1, 2]
+    assert Counting.fetches == 3
+    assert sizes == {sid: len(encode_wire(_result(sid))) for sid in shards}
 
 
 def test_encode_decode_round_trip_is_byte_stable():
