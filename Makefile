@@ -1,4 +1,4 @@
-# Developer entry points. The repo has no third-party runtime deps;
+# Developer entry points. numpy is the one third-party runtime dep;
 # ruff is optional (the lint target degrades to a syntax check without it).
 
 PYTHONPATH := src
@@ -45,7 +45,7 @@ lint-tests:
 # Micro-benchmarks. With pytest-benchmark installed these report timing
 # stats; without it, benchmarks/conftest.py substitutes a pass-through
 # `benchmark` fixture so the suite still runs as a plain correctness check
-# (the repo keeps zero mandatory third-party deps).
+# (pytest-benchmark stays optional).
 bench:
 	python -m pytest benchmarks/ -q
 
@@ -76,8 +76,7 @@ smoke-service:
 		--cache-dir $(REPRO_CI_CACHE_DIR) \
 		--record benchmarks/out/smoke-service.txt
 
-# Run the sweep service locally (zero-dep stdlib server unless the
-# [service] extra's FastAPI stack is importable).
+# Run the sweep service locally on the stdlib WSGI server.
 serve:
 	python -m repro serve --cache-dir $(REPRO_CI_CACHE_DIR)
 

@@ -105,7 +105,7 @@ def test_distributed_vs_serial_wall_clock(benchmark, out_dir, tmp_path):
             grid="smoke",
             hosts=2,
             workers=2,
-            work_dir=str(tmp_path / "work"),
+            transport=str(tmp_path / "work"),
         )
 
     t0 = time.perf_counter()
@@ -118,7 +118,6 @@ def test_distributed_vs_serial_wall_clock(benchmark, out_dir, tmp_path):
             k: v.as_dict() for k, v in b.verdicts.items()
         }
     assert distributed.ok == serial.ok
-    assert distributed.transport == "verdict rows"
     assert distributed.payload_bytes > 0
     summary_bytes = SessionCache(directory=distrib_cache).disk_bytes()
     assert summary_bytes >= PAYLOAD_SHRINK_FLOOR * distributed.payload_bytes
@@ -132,7 +131,7 @@ def test_distributed_vs_serial_wall_clock(benchmark, out_dir, tmp_path):
         grid="smoke",
         hosts=2,
         workers=2,
-        work_dir=str(tmp_path / "work-repeat"),
+        transport=str(tmp_path / "work-repeat"),
     )
     repeat_s = time.perf_counter() - t0
     assert repeat.cache_misses == 0
@@ -183,7 +182,7 @@ def test_steal_vs_lpt_wall_clock(benchmark, out_dir, tmp_path):
             cache=SessionCache(directory=str(tmp_path / "lpt-cache")),
             grid="smoke",
             hosts=2,
-            work_dir=str(tmp_path / "lpt-work"),
+            transport=str(tmp_path / "lpt-work"),
         )
 
     t0 = time.perf_counter()
@@ -198,7 +197,7 @@ def test_steal_vs_lpt_wall_clock(benchmark, out_dir, tmp_path):
         grid="smoke",
         hosts=2,
         steal=True,
-        work_dir=str(tmp_path / "steal-work"),
+        transport=str(tmp_path / "steal-work"),
     )
     steal_s = time.perf_counter() - t0
 

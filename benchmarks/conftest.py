@@ -7,9 +7,9 @@ inspection. Run with ``make bench`` (``pytest benchmarks/ -q``).
 
 pytest-benchmark is optional: when the plugin is installed its real
 ``benchmark`` fixture measures timing stats as usual; when it is absent
-(the repo has zero mandatory third-party deps, and CI installs none) a
-pass-through fixture defined below runs each benchmarked callable once so
-the suite still executes as a correctness check.
+(CI does not install it) a pass-through fixture defined below runs each
+benchmarked callable once so the suite still executes as a correctness
+check.
 
 The experiment benchmarks execute their print sessions through the
 :class:`~repro.experiments.batch.BatchRunner`; set ``REPRO_BENCH_WORKERS``

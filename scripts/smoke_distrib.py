@@ -68,7 +68,7 @@ def check_grid(grid: str, workers: int, base: str) -> str:
         grid=grid,
         hosts=2,
         workers=workers,
-        work_dir=os.path.join(base, "work"),
+        transport=os.path.join(base, "work"),
     )
     if not distributed.ok:
         raise ParityFailure(
@@ -103,7 +103,7 @@ def check_grid(grid: str, workers: int, base: str) -> str:
         grid=grid,
         hosts=2,
         workers=workers,
-        work_dir=os.path.join(base, "work-repeat"),
+        transport=os.path.join(base, "work-repeat"),
     )
     if repeat.sessions_simulated != 0 or repeat.cache_misses != 0:
         raise ParityFailure(

@@ -5,11 +5,11 @@ patterns, every rule here proves a *relationship between distant pieces
 of code* — each one the static form of a contract violation this repo
 has already lived through or is about to expose to third parties:
 
-* **CACHE001** — cache-key completeness. PR 7 added ``fast_path`` /
-  ``wire_traces_only`` to :class:`SessionSpec` and had to *remember* to
-  fold them into ``content_key()`` by hand; forgetting would have
-  aliased fast and precise sessions under one cache key and served
-  wrong summaries forever. The rule inventories the spec dataclass's
+* **CACHE001** — cache-key completeness. Adding ``fast_path`` to
+  :class:`SessionSpec` meant *remembering* to fold it into
+  ``content_key()`` by hand; forgetting would have aliased fast and
+  precise sessions under one cache key and served wrong summaries
+  forever. The rule inventories the spec dataclass's
   fields and requires each to be consumed by the key method or carry an
   explicit config exemption.
 * **WIRE003** — wire-schema drift. The work-dir protocol's
@@ -97,8 +97,8 @@ class CacheKeyCompletenessRule(ProjectRule):
         "SessionSpec.content_key() is the session cache's identity: any field "
         "that changes the simulated outcome but is missing from the digest "
         "aliases two different sessions under one key, and the cache serves "
-        "the wrong summary forever after. PR 7 had to remember to add "
-        "fast_path/wire_traces_only by hand; this rule makes forgetting a "
+        "the wrong summary forever after. Adding fast_path meant remembering "
+        "to fold it into the key by hand; this rule makes forgetting a "
         "lint failure. Fields that are presentation or policy (label, "
         "cacheable) carry an explicit exemption in [tool.repro.lint.CACHE001]."
     )

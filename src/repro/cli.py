@@ -14,16 +14,16 @@ Mirrors the workflows of the paper's tooling:
 * ``sweep``    — expand a named scenario grid (parts × attacks × detectors
   × seeds) into one flat batch and score it; with ``--cache-dir`` the sweep
   is incremental (repeats re-simulate nothing), ``--hosts N`` shards the
-  pending scenarios across N worker hosts (subprocess workers over a shared
-  ``--work-dir``, or any ``--transport`` backend — an HTTP shard queue on a
-  ``repro serve`` instance crosses machine boundaries with no shared mount)
+  pending scenarios across N worker hosts (subprocess workers over any
+  ``--transport`` backend: a shared directory, or an HTTP shard queue on a
+  ``repro serve`` instance that crosses machine boundaries with no shared mount)
   which *score worker-side* and ship only verdict rows back, ``--steal``
   carves many small shards so idle/late-joining hosts rebalance,
   ``--workers M`` composes with ``--hosts`` for N×M total parallelism, and
   ``--csv`` / ``--html`` emit report files alongside the text table;
 * ``worker``   — serve a sweep shard queue: claim pending shards, execute
   (and score) them, publish results. Run it by hand on any machine that
-  shares the coordinator's work dir — or, over HTTP, just its network —
+  shares the coordinator's queue directory — or, over HTTP, just its network —
   to join a sweep; ``--workers M`` runs each shard as a parallel batch;
 * ``lint``     — the determinism & wire-safety static analyzer
   (:mod:`repro.analysis.lint`): AST rules guarding the byte-identical-
@@ -214,7 +214,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         scenarios,
         grid=args.grid,
         hosts=args.hosts,
-        work_dir=args.work_dir,
         transport=args.transport,
         steal=args.steal,
         fast_path=not args.precise,
@@ -265,29 +264,12 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    backend = args.backend
-    if backend == "auto":
-        try:
-            import fastapi  # noqa: F401
+    from repro.service.app import create_app, run_wsgi_server
 
-            backend = "fastapi"
-        except ImportError:
-            backend = "wsgi"
     cache = args.cache_dir if args.cache_dir else not args.no_cache
     workers = args.workers  # None = honor each submission's own setting
-    if backend == "fastapi":
-        from repro.service.fastapi_app import (
-            create_fastapi_app,
-            run_uvicorn_server,
-        )
-
-        app = create_fastapi_app(db=args.db, cache=cache, workers=workers)
-        run_uvicorn_server(app, args.host, args.port)
-    else:
-        from repro.service.app import create_app, run_wsgi_server
-
-        app = create_app(db=args.db, cache=cache, workers=workers)
-        run_wsgi_server(app, args.host, args.port)
+    app = create_app(db=args.db, cache=cache, workers=workers)
+    run_wsgi_server(app, args.host, args.port)
     return 0
 
 
@@ -295,7 +277,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     from repro.experiments.distrib import Worker
 
     worker = Worker(
-        args.work_dir,
+        args.target,
         worker_id=args.id,
         cache=args.cache_dir,
         poll_s=args.poll_s,
@@ -390,22 +372,18 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="shard the pending scenarios across N worker hosts "
-        "(subprocess workers over a shared work dir; default: 1 = in-process). "
+        "(subprocess workers over the --transport queue; default: 1 = in-process). "
         "Composes with --workers: each host runs its shard through a "
         "parallel batch of that many processes (total parallelism N x M)",
     )
     p.add_argument(
-        "--work-dir",
-        help="distribution work directory (pending/claimed/done shards); "
-        "defaults to a temp dir. Point external `repro worker` hosts here.",
-    )
-    p.add_argument(
         "--transport",
         default=None,
-        help="shard-queue backend target: a filesystem path, "
+        help="shard-queue backend target: a filesystem path (pending/"
+        "claimed/done shards; default: a temp dir), "
         "http://host:port/queues/<name> (a `repro serve` shard queue — "
         "workers join over the network, no shared mount), or "
-        "memory://<name> (in-process; tests). Overrides --work-dir. "
+        "memory://<name> (in-process; tests). "
         "External hosts join with `repro worker <same target>`.",
     )
     p.add_argument(
@@ -506,14 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="pin every job to this many worker processes "
         "(default: honor each submission's own 'workers' field)",
     )
-    p.add_argument(
-        "--backend",
-        choices=("auto", "wsgi", "fastapi"),
-        default="auto",
-        help="HTTP frontend: the zero-dependency stdlib WSGI server, the "
-        "FastAPI/uvicorn stack from the [service] extra, or auto-detect "
-        "(fastapi when importable, else wsgi)",
-    )
     p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser(
@@ -521,9 +491,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve a sweep shard queue (claim + execute pending shards)",
     )
     p.add_argument(
-        "work_dir",
-        metavar="target",
-        help="the coordinator's shard queue: its --work-dir path, or an "
+        "target",
+        help="the coordinator's shard queue: its --transport path, or an "
         "http://host:port/queues/<name> target from --transport (join a "
         "sweep over the network — late joiners steal work immediately)",
     )

@@ -86,10 +86,8 @@ class SessionSpec:
     grace_s: float = 1.0
     timeout_s: float = 900.0
     trace_signals: bool = False
-    use_host_protocol: bool = False
     route_all_through_fpga: bool = False
     fast_path: bool = False
-    wire_traces_only: bool = False
     label: str = ""
     cacheable: bool = False
 
@@ -136,10 +134,8 @@ class SessionSpec:
                     self.grace_s,
                     self.timeout_s,
                     self.trace_signals,
-                    self.use_host_protocol,
                     self.route_all_through_fpga,
                     self.fast_path,
-                    self.wire_traces_only,
                 )
             ).encode()
         )
@@ -297,9 +293,7 @@ def execute_spec(spec: SessionSpec) -> SessionResult:
         trojan_seed=spec.trojan_seed,
         uart_period_ms=spec.uart_period_ms,
         trace_signals=spec.trace_signals,
-        use_host_protocol=spec.use_host_protocol,
         fast_path=spec.fast_path,
-        wire_traces_only=spec.wire_traces_only,
     )
     if spec.route_all_through_fpga:
         session.board.route_through_fpga(
@@ -349,15 +343,17 @@ def failure_summary(spec: SessionSpec, error: BaseException) -> SessionSummary:
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 """Environment variable that makes the shared cache persistent on disk."""
 
-_CACHE_FORMAT = 3
-"""On-disk entry format version; bumped when SessionSummary changes shape.
+_CACHE_FORMAT = 4
+"""On-disk entry format version; bumped when SessionSpec or SessionSummary
+changes shape.
 
 Format history: 1 = golden-print-only cache; 2 = SessionSummary grew
 ``fan_profile``/``end_time_ns`` (duration-aware fan detection) and suspect
 sessions became cacheable; 3 = SessionSummary grew ``error`` (failure-
-isolated batches) and stopped serializing the ``_capture`` memo. A
-mismatched version is a miss, so stale entries degrade to re-simulation,
-never to a wrong result.
+isolated batches) and stopped serializing the ``_capture`` memo; 4 =
+SessionSpec lost its host-protocol and wire-replay flags, so every content
+key changed. A mismatched version is a miss, so stale entries degrade to
+re-simulation, never to a wrong result.
 """
 
 

@@ -332,7 +332,7 @@ class Worker:
 
     def __init__(
         self,
-        work_dir: Union[str, Transport],
+        transport: Union[str, Transport],
         worker_id: Optional[str] = None,
         cache: CacheOption = None,
         poll_s: float = 0.2,
@@ -342,11 +342,7 @@ class Worker:
         # A Transport instance joins as-is; a string resolves by scheme —
         # a filesystem path, http://host/queues/..., or memory://name —
         # which is also how `repro worker <target>` accepts any backend.
-        self.work = (
-            work_dir
-            if isinstance(work_dir, Transport)
-            else create_transport(work_dir)
-        )
+        self.work = create_transport(transport)
         self.worker_id = sanitize_worker_id(worker_id or default_worker_id())
         self.poll_s = poll_s
         self.idle_timeout_s = idle_timeout_s
@@ -690,13 +686,11 @@ class Coordinator:
         # throwaway work dir (pickled specs include whole G-code programs)
         # and the worker-log dir of a backend without one of its own.
         owned: List[str] = []
-        if isinstance(self.transport, Transport):
-            work: Transport = self.transport
-        elif self.transport is not None:
-            work = create_transport(self.transport)
-        else:
+        if self.transport is None:
             owned.append(tempfile.mkdtemp(prefix="repro-distrib-"))
             work = WorkDir(owned[-1])
+        else:
+            work = create_transport(self.transport)
         if self.spawn_local and work.scheme == "memory":
             # A spawned `repro worker memory://...` would resolve a fresh,
             # empty registry in its own process and idle forever while the

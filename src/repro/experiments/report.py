@@ -106,7 +106,6 @@ def summary_stats(result: SweepResult) -> Dict[str, Any]:
         "wall_clock_s": round(result.wall_clock_s, 2),
         "hosts": len(result.host_stats),
         "requeues": result.requeues,
-        "transport": result.transport,
         "payload_bytes": result.payload_bytes,
     }
 
@@ -190,12 +189,7 @@ def render_html_rows(
     if stats["requeues"]:
         tiles.append(("shards re-queued", stats["requeues"]))
     if stats["payload_bytes"]:
-        tiles.append(
-            (
-                f"done/ payload ({stats['transport'] or 'results'})",
-                f"{stats['payload_bytes']} B",
-            )
-        )
+        tiles.append(("done/ payload", f"{stats['payload_bytes']} B"))
     parts: List[str] = [
         "<!DOCTYPE html>",
         '<html lang="en"><head><meta charset="utf-8">',

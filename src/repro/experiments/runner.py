@@ -93,10 +93,7 @@ class PrintSession:
         trace_signals: bool = False,
         use_host_protocol: bool = False,
         fast_path: bool = False,
-        wire_traces_only: bool = False,
     ) -> None:
-        if wire_traces_only and trojan is not None:
-            raise ReproError("wire_traces_only replay cannot host a Trojan")
         self.program = program
         self.sim = Simulator()
         self.harness = SignalHarness(self.sim)
@@ -105,7 +102,6 @@ class PrintSession:
         self.firmware = MarlinFirmware(
             self.sim, config or MarlinConfig(), self.harness, fast_path=fast_path
         )
-        self.wire_traces_only = wire_traces_only
 
         # The OFFRAMPS platform and its monitoring modules.
         self.fabric = FpgaFabric(self.sim)
@@ -113,18 +109,13 @@ class PrintSession:
         self.homing_detector = HomingDetector(self.harness)
         self.tracker = AxisTracker(self.harness)
         self.uart_bus = UartBus()
-        # Replay mode consumes only the wire traces: skip the periodic UART
-        # export (and with it the tracker arm/first-step sync) so the event
-        # queue carries nothing but motion — the capture stays empty.
-        self.exporter: Optional[UartExporter] = None
-        if not wire_traces_only:
-            self.exporter = UartExporter(
-                self.sim,
-                self.tracker,
-                self.homing_detector,
-                bus=self.uart_bus,
-                period_ms=uart_period_ms,
-            )
+        self.exporter = UartExporter(
+            self.sim,
+            self.tracker,
+            self.homing_detector,
+            bus=self.uart_bus,
+            period_ms=uart_period_ms,
+        )
         self.capture = PulseCapture(self.uart_bus)
 
         self.trojan_control = TrojanControl(
@@ -142,7 +133,7 @@ class PrintSession:
             self.trojan_control.enable(trojan.trojan_id)
 
         self.tracer: Optional[Tracer] = None
-        if trace_signals or wire_traces_only:
+        if trace_signals:
             self.tracer = Tracer()
             self.tracer.watch(self.harness.upstream(name) for name in _CONTROL_SIGNALS)
 
@@ -166,8 +157,7 @@ class PrintSession:
             raise ReproError("a PrintSession can only run once")
         self._ran = True
 
-        if not self.wire_traces_only:
-            self.plant.start_sampling()
+        self.plant.start_sampling()
         if self._use_host_protocol:
             self.firmware.attach_source(SerialHost(self.program))
         else:
@@ -185,8 +175,7 @@ class PrintSession:
 
         duration_s = self.sim.now / 1e9
         # Teardown: stop periodic activity so the event queue can drain.
-        if self.exporter is not None:
-            self.exporter.stop()
+        self.exporter.stop()
         self.firmware.power_off()
         self.ramps.shutdown()
         self.plant.stop_sampling()
@@ -221,7 +210,6 @@ def run_print(
     use_host_protocol: bool = False,
     config: Optional[MarlinConfig] = None,
     fast_path: bool = False,
-    wire_traces_only: bool = False,
 ) -> SessionResult:
     """Convenience wrapper: one call, one printed part, one result."""
     base_config = config or MarlinConfig()
@@ -236,6 +224,5 @@ def run_print(
         trace_signals=trace_signals,
         use_host_protocol=use_host_protocol,
         fast_path=fast_path,
-        wire_traces_only=wire_traces_only,
     )
     return session.run(grace_s=grace_s)

@@ -36,7 +36,7 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.detection.protocol import ScoreSpec, Verdict
 from repro.errors import ReproError
@@ -47,6 +47,7 @@ from repro.experiments.batch import (
     resolve_cache,
     run_sessions,
 )
+from repro.experiments.transport import Transport
 from repro.experiments.workloads import (
     dense_part,
     dense_profile,
@@ -559,7 +560,6 @@ class SweepResult:
     grid: str = ""
     host_stats: List[Dict[str, Any]] = field(default_factory=list)
     requeues: int = 0
-    transport: str = ""
     payload_bytes: int = 0
 
     @property
@@ -638,10 +638,7 @@ class SweepResult:
                 note += f"; {self.requeues} shard(s) re-queued from dead workers"
             lines.append(note)
             if self.payload_bytes:
-                lines.append(
-                    f"done/ payload: {self.payload_bytes} bytes shipped as "
-                    f"{self.transport or 'results'}"
-                )
+                lines.append(f"done/ payload: {self.payload_bytes} bytes")
         return "\n".join(lines)
 
 
@@ -663,8 +660,7 @@ def run_sweep(
     cache: CacheOption = None,
     grid: str = "",
     hosts: int = 1,
-    work_dir: Optional[str] = None,
-    transport: Optional[str] = None,
+    transport: Optional[Union[str, Transport]] = None,
     steal: bool = False,
     fast_path: bool = True,
     progress: Optional[Callable[[SessionSummary], None]] = None,
@@ -679,9 +675,9 @@ def run_sweep(
 
     With ``hosts > 1`` the sweep distributes via
     :mod:`repro.experiments.distrib` (subprocess workers over a pluggable
-    shard-queue backend: ``transport`` names it — a filesystem path,
-    ``http://host:port/queues/name``, or ``memory://name``; else
-    ``work_dir`` or a temp dir selects the filesystem backend), and
+    shard-queue backend: ``transport`` names it — a :class:`Transport`, a
+    filesystem path, ``http://host:port/queues/name``, or
+    ``memory://name``; ``None`` queues through a temp dir), and
     ``workers`` becomes the *per-host* parallelism: each worker runs its
     shard through a parallel ``BatchRunner``, so total parallelism is
     ``hosts × workers``. ``steal=True`` carves many small shards instead
@@ -715,7 +711,6 @@ def run_sweep(
     started = time.perf_counter()
     host_stats: List[Dict[str, Any]] = []
     requeues = 0
-    payload_mode = ""
     payload_bytes = 0
     simulated_override: Optional[int] = None
     if hosts and hosts > 1:
@@ -735,8 +730,7 @@ def run_sweep(
         ]
         scored = Coordinator(
             hosts=hosts, cache=resolved, workers=workers,
-            transport=transport if transport is not None else work_dir,
-            steal=steal,
+            transport=transport, steal=steal,
         ).run(jobs)
         outcomes = [
             ScenarioOutcome(scenario, row.golden, row.suspect, row.verdicts)
@@ -744,7 +738,6 @@ def run_sweep(
         ]
         host_stats = scored.host_stats
         requeues = scored.requeues
-        payload_mode = "verdict rows"
         payload_bytes = scored.payload_bytes
         # The coordinator probes the cache (no miss accounting) and loads
         # only what it scores locally, so "sessions simulated" is its
@@ -782,7 +775,6 @@ def run_sweep(
         grid=grid,
         host_stats=host_stats,
         requeues=requeues,
-        transport=payload_mode,
         payload_bytes=payload_bytes,
     )
 

@@ -33,10 +33,10 @@ loud, STOP propagation, done-payload round-trip — is pinned by
 ``tests/test_transport_contract.py``, which every backend in
 :data:`TRANSPORT_SCHEMES` inherits.
 
-:func:`create_transport` resolves a target string (a filesystem path,
-``http://host:port/queues/name``, or ``memory://name``) to a live
-transport. ``repro worker <target>`` accepts any of them, which is how
-late-joining hosts steal work from an in-flight sweep.
+:func:`create_transport` resolves a target string (a filesystem path or
+``fs://`` URL, ``http://host:port/queues/name``, or ``memory://name``) to
+a live transport. ``repro worker <target>`` accepts any of them, which is
+how late-joining hosts steal work from an in-flight sweep.
 """
 
 from __future__ import annotations
@@ -46,12 +46,12 @@ import pickle
 import re
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.errors import ReproError
 from repro.util import atomic_write
 
-WIRE_FORMAT = 4
+WIRE_FORMAT = 5
 """Shard-queue payload format version.
 
 Bumped whenever the pickled shard/result schema — or the protocol the
@@ -59,7 +59,8 @@ envelope travels through — changes shape (2: shards may carry scenario
 jobs, results verdict rows + digests; 3: payloads travel over pluggable
 transports, claims are transport tokens rather than claim-file paths, and
 shard queues may be served over HTTP; 4: shards carry only scenario jobs
-and results only verdict rows — the summary-shipping fields are gone). A
+and results only verdict rows — the summary-shipping fields are gone; 5:
+SessionSpec lost its host-protocol and wire-replay flags). A
 payload whose envelope names a
 *different* version is a protocol-level incompatibility — some host is
 running different code — and raises :class:`WireFormatError` rather than
@@ -529,6 +530,11 @@ class InMemoryTransport(Transport):
 # Backend registry
 # ----------------------------------------------------------------------
 
+def _make_fs(target: str) -> Transport:
+    # ``fs:///shared/q`` names the same directory as the bare ``/shared/q``.
+    return WorkDir(target[len("fs://"):] if target.startswith("fs://") else target)
+
+
 def _make_memory(target: str) -> Transport:
     name = target.partition("://")[2]
     return InMemoryTransport.named(name)
@@ -541,7 +547,7 @@ def _make_http(target: str) -> Transport:
 
 
 TRANSPORT_SCHEMES: Dict[str, Callable[[str], Transport]] = {
-    "fs": WorkDir,
+    "fs": _make_fs,
     "memory": _make_memory,
     "http": _make_http,
 }
@@ -553,12 +559,15 @@ inheriting the behavioral tests.
 """
 
 
-def create_transport(target: str) -> Transport:
-    """Resolve a worker/coordinator target string to a live transport.
+def create_transport(target: Union[str, Transport]) -> Transport:
+    """Resolve a worker/coordinator target to a live transport.
 
-    ``http://`` / ``https://`` / ``memory://`` dispatch on their scheme;
+    A :class:`Transport` instance is returned as-is. ``fs://``,
+    ``http://`` / ``https://`` and ``memory://`` dispatch on their scheme;
     anything else is a filesystem work-dir path (``repro worker <dir>``).
     """
+    if isinstance(target, Transport):
+        return target
     scheme, sep, _ = target.partition("://")
     if sep and scheme in TRANSPORT_SCHEMES:
         return TRANSPORT_SCHEMES[scheme](target)

@@ -10,7 +10,7 @@ The optional *time-noise* model scales each block's execution rate by a
 zero-mean random factor — the "time noise" of asynchronous manufacturing
 systems the paper cites as the reason for its 5 % detection margin.
 
-Fast path (``fast_path=True``, requires numpy): step times are solved as
+Fast path (``fast_path=True``): step times are solved as
 array ops (:meth:`StepperExecutor._step_times_array`, pinned int-for-int
 equal to the scalar reference) and steps are emitted in *chunks* — one
 kernel event per run of steps spanning an event-free window, with pulses
@@ -32,10 +32,7 @@ import math
 import random
 from typing import Callable, Dict, List, Optional
 
-try:  # the fast path vectorizes over numpy; without it we run precise-only.
-    import numpy as np
-except ImportError:  # pragma: no cover - the container ships numpy
-    np = None
+import numpy as np
 
 from repro.errors import FirmwareError
 from repro.firmware.config import MarlinConfig
@@ -69,7 +66,7 @@ class StepperExecutor:
         self.config = config
         self.harness = harness
         self.planner = planner
-        self.fast_path = bool(fast_path and np is not None)
+        self.fast_path = fast_path
         self._rng = random.Random(config.time_noise_seed)
 
         self._step_wires = {axis: harness.upstream(f"{axis}_STEP") for axis in AXES}

@@ -2,19 +2,16 @@
 
 Layering (thin on top, shared below)::
 
-    frontends   app.ServiceApp (zero-dep WSGI)   fastapi_app (optional extra)
-                      \\                              /
+    frontend      app.ServiceApp (stdlib WSGI)
+                                |
     business           jobs.JobManager  +  schemas.parse_submission
                                 |
     storage               store.JobStore (SQLite: jobs + verdict_rows)
                                 |
     engine        repro.experiments  (run_sweep / sweep_rows / renderers)
 
-The core service has **zero third-party dependencies** — stdlib sqlite3
-and WSGI only — matching the rest of the package; ``pip install
-.[service]`` adds the FastAPI/uvicorn production frontend over the same
-manager. Tests and CI drive the WSGI app in-process via
-:class:`~repro.service.testclient.ServiceClient`.
+The service uses only the stdlib (sqlite3 and WSGI). Tests and CI drive
+the WSGI app in-process via :class:`~repro.service.testclient.ServiceClient`.
 """
 
 from repro.service.app import ServiceApp, create_app, run_wsgi_server

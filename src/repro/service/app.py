@@ -1,7 +1,6 @@
-"""Sweep-as-a-service: the zero-dependency WSGI frontend.
+"""Sweep-as-a-service: the WSGI frontend.
 
-The HTTP surface (shared verb-for-verb with the optional FastAPI frontend
-in :mod:`repro.service.fastapi_app`):
+The HTTP surface:
 
 =======  ==============================  =====================================
 method   path                            meaning
@@ -50,10 +49,7 @@ Routes are deliberately *thin*: every one of them is a line or two over
 :func:`~repro.experiments.scenario.run_sweep` the CLI uses — the service
 adds storage and transport, never a second sweep semantics.
 
-Implemented as a plain WSGI callable (stdlib only) so the service — like
-the engine it fronts — runs with zero third-party dependencies;
-``pip install .[service]`` adds the FastAPI/uvicorn production frontend
-on top of the same manager.
+Implemented as a plain WSGI callable on the stdlib ``wsgiref`` server.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """The service business layer: submissions → jobs → stored verdict rows.
 
-:class:`JobManager` is the one code path every frontend (WSGI, FastAPI,
-tests, the smoke script) drives. It owns
+:class:`JobManager` is the one code path the WSGI app, the tests and
+the smoke script drive. It owns
 
 * **the dedup contract** — a submission is content-keyed
   (:func:`submission_key` folds every compiled session's content key with
@@ -114,7 +114,7 @@ class JobManager:
 
         Returns ``(job_json, created)``: ``created`` is False when the
         submission was answered from the store without running anything —
-        frontends map that to 200 vs 201.
+        the app maps that to 200 vs 201.
         """
         submission = parse_submission(payload)
         key = submission_key(submission.scenarios, submission.fast_path)
@@ -181,7 +181,7 @@ class JobManager:
             # Job isolation: one bad submission becomes one failed job row.
             self.store.fail_job(job_id, f"{type(exc).__name__}: {exc}")
 
-    # -- queries (shared by every frontend) ------------------------------
+    # -- queries --------------------------------------------------------
 
     def job(self, job_id: int) -> Optional[Dict[str, Any]]:
         job = self.store.job(job_id)

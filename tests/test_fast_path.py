@@ -12,18 +12,18 @@ Three layers of pinning:
   subscriber that is not batch-capable (or whose ``ready`` check declines)
   must veto bulk delivery.
 - **Session equivalence** — full simulated prints (clean, Trojaned,
-  thermal-kill, replay) must be observably identical fast vs precise:
+  thermal-kill) must be observably identical fast vs precise:
   status, kill reason, duration, axis totals, missed steps, every captured
   UART transaction, and — when traced — every wire trace event.
 """
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.core.trojans import make_trojan
 from repro.electronics.harness import SignalHarness
-from repro.errors import ReproError
 from repro.experiments.runner import run_print
 from repro.experiments.scenario import TABLE1_TROJAN_PARAMS
 from repro.firmware.config import MarlinConfig
@@ -31,8 +31,6 @@ from repro.firmware.planner import MotionBlock, MotionPlanner
 from repro.firmware.stepper import StepperExecutor
 from repro.sim.kernel import Simulator
 from repro.sim.signals import StepWire
-
-np = pytest.importorskip("numpy")
 
 
 # ----------------------------------------------------------------------
@@ -278,36 +276,3 @@ class TestSessionEquivalence:
         # endstop range vetoes keep ordinary motion off the endstops' backs.
         precise, fast = _pair(tiny_program)
         assert _observables(precise) == _observables(fast)
-
-
-class TestReplayMode:
-    def test_replay_produces_identical_wire_traces(self, tiny_program):
-        traced = run_print(tiny_program, trace_signals=True, fast_path=True)
-        replay = run_print(tiny_program, wire_traces_only=True, fast_path=True)
-        assert replay.tracer is not None
-
-        def dump(tracer):
-            return {
-                name: [(e.time_ns, e.kind) for e in tracer.trace(name).events]
-                for name in tracer.signal_names
-            }
-
-        assert dump(replay.tracer) == dump(traced.tracer)
-
-    def test_replay_skips_uart_and_sampling(self, tiny_program):
-        replay = run_print(tiny_program, wire_traces_only=True, fast_path=True)
-        assert replay.capture.transactions == []
-        assert replay.plant.trace.samples == []
-
-    def test_replay_is_cheaper_than_full_emulation(self, tiny_program):
-        full = run_print(tiny_program, trace_signals=True, fast_path=True)
-        replay = run_print(tiny_program, wire_traces_only=True, fast_path=True)
-        assert replay.events_dispatched < full.events_dispatched
-
-    def test_replay_refuses_trojans(self, tiny_program):
-        with pytest.raises(ReproError):
-            run_print(
-                tiny_program,
-                wire_traces_only=True,
-                trojan=make_trojan("T2", **dict(TABLE1_TROJAN_PARAMS["T2"])),
-            )

@@ -366,47 +366,3 @@ def test_background_job_progress_and_events(service_env, tmp_path, tiny_grid):
     final = json.loads(events[0][len("data: ") :])
     assert final["state"] == DONE
     app.manager.close()
-
-
-# -- optional FastAPI frontend (gated on the [service] extra) -------------
-
-
-def test_fastapi_frontend_gated_without_extra():
-    """Without the extra installed the FastAPI factory raises actionably."""
-    try:
-        import fastapi  # noqa: F401
-
-        pytest.skip("fastapi installed; the gate test needs it absent")
-    except ImportError:
-        pass
-    from repro.errors import ReproError
-    from repro.service.fastapi_app import create_fastapi_app
-
-    with pytest.raises(ReproError, match=r"\[service\]"):
-        create_fastapi_app()
-
-
-def test_fastapi_frontend_parity(service_env, tmp_path):
-    """With the extra installed, the FastAPI app serves the same bytes."""
-    fastapi = pytest.importorskip("fastapi")  # noqa: F841
-    testclient = pytest.importorskip("fastapi.testclient")
-    from repro.service.fastapi_app import create_fastapi_app
-
-    app = create_fastapi_app(
-        db=str(tmp_path / "jobs.sqlite3"),
-        cache=service_env["cache_dir"],
-        background=False,
-    )
-    client = testclient.TestClient(app)
-    submitted = client.post("/jobs", json=service_env["payload"])
-    assert submitted.status_code == 201
-    job = submitted.json()
-    assert job["state"] == DONE
-    assert (
-        client.get(f"/jobs/{job['id']}/report.csv").text
-        == service_env["reference_csv"]
-    )
-    again = client.post("/jobs", json=service_env["payload"])
-    assert again.status_code == 200
-    assert again.json()["deduped_from"] == job["id"]
-    app.state.manager.close()

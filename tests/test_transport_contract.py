@@ -39,16 +39,26 @@ from wsgiref.simple_server import WSGIRequestHandler, WSGIServer, make_server
 
 import pytest
 
-from repro.experiments.distrib import Coordinator, ShardResult, WorkShard, Worker
+from repro.detection.protocol import ScoreSpec
+from repro.experiments.batch import SessionSpec
+from repro.experiments.distrib import (
+    Coordinator,
+    ScenarioJob,
+    ShardResult,
+    WorkShard,
+    Worker,
+)
 from repro.experiments.transport import (
     TRANSPORT_SCHEMES,
     WIRE_FORMAT,
     InMemoryTransport,
     WireFormatError,
     WorkDir,
+    create_transport,
     encode_wire,
 )
 from repro.experiments.transport_http import HttpTransport
+from repro.gcode.ast import GcodeProgram
 from repro.service.app import create_app
 
 
@@ -60,8 +70,13 @@ def _skewed_wire(payload):
     )
 
 
-def _shard(shard_id):
-    return WorkShard(shard_id=shard_id)
+def _shard(shard_id, *job_names):
+    spec = SessionSpec(GcodeProgram())
+    jobs = tuple(
+        ScenarioJob(index, name, spec, spec, ScoreSpec.for_detectors(["golden"]))
+        for index, name in enumerate(job_names)
+    )
+    return WorkShard(shard_id=shard_id, jobs=jobs)
 
 
 def _result(shard_id, worker_id="w1"):
@@ -76,13 +91,14 @@ class TransportContractTests:
     """
 
     def test_done_roundtrip(self, transport):
-        transport.enqueue(_shard(5))
+        transport.enqueue(_shard(5, "ok"))
         assert transport.pending_ids() == [5]
         assert transport.done_ids() == []
 
         claim = transport.claim(5, "w1")
         assert claim is not None
         assert claim.shard.shard_id == 5
+        assert [job.name for job in claim.shard.jobs] == ["ok"]
         assert transport.pending_ids() == []
         assert transport.claims() == [(5, "w1")]
 
@@ -183,7 +199,7 @@ class TransportContractTests:
 
     def test_wire_skew_on_result_fails_loud(self, transport):
         transport.put_result(4, _skewed_wire(_result(4)))
-        with pytest.raises(WireFormatError):
+        with pytest.raises(WireFormatError, match="wire format"):
             transport.load_result(4)
 
     def test_corrupt_result_reads_as_absent(self, transport):
@@ -237,8 +253,6 @@ class TransportContractTests:
         assert transport.heartbeat_mtime("w2") is None
 
     def test_worker_target_round_trips_through_factory(self, transport):
-        from repro.experiments.transport import create_transport
-
         peer = create_transport(transport.worker_target())
         assert peer.scheme == transport.scheme
         transport.enqueue(_shard(9))
@@ -263,6 +277,16 @@ class TestFilesystemTransportContract(TransportContractTests):
         assert (files("pending"), files("claimed")) == ([], ["shard-0003@w1.pkl"])
         transport.complete(claim, _result(3))
         assert (files("claimed"), files("done")) == ([], ["shard-0003.pkl"])
+
+
+def test_fs_url_names_the_same_directory_as_the_bare_path(tmp_path, monkeypatch):
+    """``fs:///abs/q`` and ``/abs/q`` are one queue, whatever the cwd."""
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    root = str(tmp_path / "queue")
+    assert create_transport(f"fs://{root}").root == create_transport(root).root == root
+    assert os.listdir(cwd) == []
 
 
 class TestInMemoryTransportContract(TransportContractTests):
