@@ -26,8 +26,10 @@ from repro.experiments.batch import execute_spec
 from repro.experiments.scenario import compile_scenario, grid_scenarios
 
 # Fast-path smoke-grid floor, in sessions/sec (cold cache, single process).
-# Measured ~4.9 sessions/s on the reference container; the floor sits far
-# below that so only a real regression (not runner noise) trips it.
+# Measured ~3.7 sessions/s (median of six runs; ~3.1 before the kernel heap
+# held (time, seq, handle) tuples) on a 2-vCPU Xeon container whose speed
+# drifts by up to 2x; the floor sits far below that so only a real
+# regression (not runner noise) trips it.
 FLOOR_SESSIONS_PER_S = 1.2
 
 

@@ -350,10 +350,13 @@ class StepperExecutor:
             return
 
         width = self.config.step_pulse_width_ns
+        # The pulses before event i number cumulative[i], which is also where
+        # i falls in the axis's sorted pulse indices: [lo, hi) is the span.
         spans = []
         for axis, indices in self._pulse_idx.items():
-            lo = int(np.searchsorted(indices, i0, side="left"))
-            hi = int(np.searchsorted(indices, i1, side="left"))
+            cumulative = self._pulse_cum[axis]
+            lo = int(cumulative[i0])
+            hi = int(cumulative[i1])
             if hi > lo:
                 spans.append((axis, indices, lo, hi))
         for axis, _indices, lo, hi in spans:

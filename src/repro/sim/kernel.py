@@ -3,14 +3,20 @@
 A :class:`Simulator` owns a priority queue of timed callbacks. Components
 (firmware, plant, FPGA modules) schedule work with :meth:`Simulator.schedule`
 or :meth:`Simulator.schedule_at` and the kernel dispatches them in
-(time, insertion-order) order. Cancellation is lazy: cancelled handles stay in
-the heap but are skipped on pop, which keeps both operations O(log n).
+(time, insertion-order) order.
+
+The heap holds ``(time_ns, seq, handle)`` tuples. ``seq`` is a per-simulator
+counter, unique per entry, so a tuple compare is decided by the two ints and
+never reaches the handle: every heap sift stays in C, and equal-time events
+pop in scheduling order (the FIFO tie-break). Cancellation is lazy:
+cancelled handles stay in the heap but are skipped on pop, which keeps both
+operations O(log n).
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 
@@ -52,9 +58,6 @@ class EventHandle:
         """True while the event is still queued and will fire."""
         return not self.cancelled and not self.fired
 
-    def __lt__(self, other: "EventHandle") -> bool:
-        return (self.time_ns, self.seq) < (other.time_ns, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "cancelled" if self.cancelled else ("fired" if self.fired else "pending")
         name = getattr(self.callback, "__qualname__", repr(self.callback))
@@ -75,7 +78,7 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now: int = 0
-        self._queue: List[EventHandle] = []
+        self._queue: List[Tuple[int, int, EventHandle]] = []
         self._seq: int = 0
         self._dispatched: int = 0
         self._pending: int = 0
@@ -139,10 +142,11 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={time_ns}ns, already at t={self._now}ns"
             )
-        handle = EventHandle(time_ns, self._seq, callback, args, self)
-        self._seq += 1
+        seq = self._seq
+        handle = EventHandle(time_ns, seq, callback, args, self)
+        self._seq = seq + 1
         self._pending += 1
-        heapq.heappush(self._queue, handle)
+        heapq.heappush(self._queue, (time_ns, seq, handle))
         return handle
 
     def stop(self) -> None:
@@ -159,10 +163,10 @@ class Simulator:
         held nothing runnable.
         """
         while self._queue:
-            handle = heapq.heappop(self._queue)
+            time_ns, _seq, handle = heapq.heappop(self._queue)
             if handle.cancelled:
                 continue
-            self._now = handle.time_ns
+            self._now = time_ns
             handle.fired = True
             self._pending -= 1
             self._dispatched += 1
@@ -198,18 +202,18 @@ class Simulator:
                     break
                 if max_events is not None and dispatched >= max_events:
                     break
-                head = queue[0]
+                time_ns, _seq, head = queue[0]
                 if head.cancelled:
                     heappop(queue)
                     continue
-                if until_ns is not None and head.time_ns > until_ns:
+                if until_ns is not None and time_ns > until_ns:
                     break
                 # Dispatch inline: the head we just inspected is the event
                 # to run, so pop it directly instead of re-peeking through
                 # step() (which would pop, re-check cancellation, and
                 # re-branch). step() stays as the public single-step API.
                 heappop(queue)
-                self._now = head.time_ns
+                self._now = time_ns
                 head.fired = True
                 self._pending -= 1
                 self._dispatched += 1
@@ -226,9 +230,10 @@ class Simulator:
 
     def _next_pending_time(self) -> Optional[int]:
         """Timestamp of the next runnable event, pruning cancelled heads."""
-        while self._queue and self._queue[0].cancelled:
-            heapq.heappop(self._queue)
-        return self._queue[0].time_ns if self._queue else None
+        queue = self._queue
+        while queue and queue[0][2].cancelled:
+            heapq.heappop(queue)
+        return queue[0][0] if queue else None
 
     def run_for(self, duration_ns: int, max_events: Optional[int] = None) -> int:
         """Run for ``duration_ns`` of simulated time from now."""

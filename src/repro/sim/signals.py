@@ -186,12 +186,15 @@ class StepWire(Wire):
             gap = first - prev
             if gap > 0 and (min_gap is None or gap < min_gap):
                 min_gap = gap
-        diffs = np.diff(times_ns)
-        positive = diffs[diffs > 0]
-        if positive.size:
-            batch_min = int(positive.min())
-            if min_gap is None or batch_min < min_gap:
-                min_gap = batch_min
+        if count > 1:
+            # Slice subtraction, not np.diff: same gaps without the Python-level
+            # wrapper, which costs more than the subtraction on short chunks.
+            diffs = times_ns[1:] - times_ns[:-1]
+            positive = diffs[diffs > 0]
+            if positive.size:
+                batch_min = int(positive.min())
+                if min_gap is None or batch_min < min_gap:
+                    min_gap = batch_min
         self.min_interval_ns = min_gap
         if self.min_width_ns is None or width_ns < self.min_width_ns:
             self.min_width_ns = width_ns

@@ -135,6 +135,10 @@ class TestStepTimeEquality:
             ) // count
             closed_form = np.nonzero(cumulative[1:] > cumulative[:-1])[0]
             assert closed_form.tolist() == reference
+            # _emit_chunk reads a chunk's pulse span [lo, hi) off the table:
+            # pulses before event i == where i falls in the pulse indices.
+            for i in range(count + 1):
+                assert cumulative[i] == np.searchsorted(closed_form, i, side="left")
 
 
 # ----------------------------------------------------------------------
@@ -167,19 +171,36 @@ class TestWireBatchProtocol:
         wire.on_pulse(lambda w, t, width: None)  # plain tap (e.g. a test probe)
         assert not wire.batch_ready(1)
 
-    def test_pulse_batch_stats_match_sequential_pulses(self, sim):
-        times = [1000, 3000, 3500, 9000]
-        width = 2000
+    @pytest.mark.parametrize(
+        "history, batch",
+        [
+            pytest.param([], [1000, 3000, 3500, 9000], id="spread"),
+            pytest.param([], [500], id="one-element"),
+            pytest.param([100, 1000], [1200], id="one-element-after-history"),
+            pytest.param([], [700, 700, 700], id="all-tied"),
+            pytest.param([100], [700, 700, 700], id="all-tied-after-history"),
+            pytest.param([1000, 5000], [5100, 6000, 8000], id="first-gap-is-minimum"),
+        ],
+    )
+    def test_pulse_batch_stats_match_sequential_pulses(self, history, batch):
+        history_width, batch_width = 2000, 1500
 
-        sequential = StepWire(sim, "X_STEP")
-        for t in times:
-            sim.run(until_ns=t)
-            sequential.pulse(width)
+        def replayed(batched):
+            sim = Simulator()
+            wire = StepWire(sim, "X_STEP")
+            wire.on_pulse(lambda w, t, wd: None, batch=lambda w, ts, wd: None)
+            for t in history:
+                sim.run(until_ns=t)
+                wire.pulse(history_width)
+            if batched:
+                wire.pulse_batch(np.asarray(batch, dtype=np.int64), batch_width)
+            else:
+                for t in batch:
+                    sim.run(until_ns=t)
+                    wire.pulse(batch_width)
+            return wire
 
-        batched = StepWire(Simulator(), "X_STEP")
-        batched.on_pulse(lambda w, t, wd: None, batch=lambda w, ts, wd: None)
-        batched.pulse_batch(np.asarray(times, dtype=np.int64), width)
-
+        sequential, batched = replayed(False), replayed(True)
         for attr in ("pulse_count", "last_pulse_ns", "min_interval_ns", "min_width_ns"):
             assert getattr(batched, attr) == getattr(sequential, attr), attr
 

@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event kernel."""
 
+import random
+
 import pytest
 
 from repro.errors import SimulationError
@@ -289,3 +291,153 @@ class TestPeriodicTasks:
         holder["task"] = sim.every(10, tick)
         sim.run(until_ns=1000)
         assert ticks == [10, 20, 30]
+
+
+# ----------------------------------------------------------------------
+# Property test: the heap kernel against a sorted-list reference model
+# ----------------------------------------------------------------------
+class _ReferenceHandle:
+    def __init__(self, live, seq):
+        self._live = live
+        self.seq = seq
+
+    def cancel(self):
+        self._live.pop(self.seq, None)
+
+
+class _ReferenceKernel:
+    """The kernel contract with no heap: fire the live event with the least
+    ``(time_ns, seq)``; cancelling drops an event from the live set."""
+
+    def __init__(self):
+        self.now = 0
+        self._seq = 0
+        self._live = {}  # seq -> (time_ns, callback)
+
+    @property
+    def pending_events(self):
+        return len(self._live)
+
+    def schedule_at(self, time_ns, callback):
+        seq = self._seq
+        self._seq += 1
+        self._live[seq] = (time_ns, callback)
+        return _ReferenceHandle(self._live, seq)
+
+    def schedule(self, delay_ns, callback):
+        return self.schedule_at(self.now + delay_ns, callback)
+
+    def head_seq(self):
+        return min(self._live, key=lambda seq: (self._live[seq][0], seq), default=None)
+
+    def run(self, until_ns=None, max_events=None):
+        dispatched = 0
+        while self._live and (max_events is None or dispatched < max_events):
+            seq = self.head_seq()
+            time_ns, callback = self._live[seq]
+            if until_ns is not None and time_ns > until_ns:
+                break
+            del self._live[seq]
+            self.now = time_ns
+            callback()
+            dispatched += 1
+        if until_ns is not None and self.now < until_ns:
+            head = self.head_seq()
+            if head is None or self._live[head][0] > until_ns:
+                self.now = until_ns
+        return dispatched
+
+
+class _Program:
+    """A seeded random event program, replayable on either kernel.
+
+    Event ``k`` (numbered in creation order, so also its ``seq``) draws its
+    actions from its own RNG when it fires: schedule children by delay or
+    absolute time (often at the current instant, so FIFO ties are common)
+    and cancel earlier events, pending or not. Every fire logs
+    ``(k, now, pending_events)``.
+    """
+
+    MAX_EVENTS = 400
+
+    def __init__(self, kernel, seed):
+        self.kernel = kernel
+        self.seed = seed
+        self.handles = []
+        self.log = []
+
+    def create(self, rng, absolute):
+        if len(self.handles) >= self.MAX_EVENTS:
+            return
+        event_id = len(self.handles)
+        fire = lambda: self._fire(event_id)  # noqa: E731
+        if absolute:
+            handle = self.kernel.schedule_at(self.kernel.now + rng.randint(0, 12), fire)
+        else:
+            handle = self.kernel.schedule(rng.randint(0, 12), fire)
+        self.handles.append(handle)
+
+    def cancel(self, event_id):
+        self.handles[event_id].cancel()
+
+    def _fire(self, event_id):
+        self.log.append((event_id, self.kernel.now, self.kernel.pending_events))
+        rng = random.Random(self.seed * 1_000_003 + event_id)
+        for _ in range(rng.randint(0, 3)):
+            roll = rng.random()
+            if roll < 0.35:
+                self.create(rng, absolute=False)
+            elif roll < 0.7:
+                self.create(rng, absolute=True)
+            else:
+                self.cancel(rng.randrange(len(self.handles)))
+
+    def seed_roots(self, rng, count):
+        for _ in range(count):
+            self.create(rng, absolute=rng.random() < 0.5)
+        for _ in range(count // 4):
+            self.cancel(rng.randrange(len(self.handles)))
+
+
+def _twin_programs(seed):
+    real = _Program(Simulator(), seed)
+    ref = _Program(_ReferenceKernel(), seed)
+    real.seed_roots(random.Random(seed), 30)
+    ref.seed_roots(random.Random(seed), 30)
+    return real, ref
+
+
+class TestReferenceModel:
+    @pytest.mark.parametrize("seed", range(25))
+    def test_random_program_fires_in_reference_order(self, seed):
+        real, ref = _twin_programs(seed)
+        assert real.kernel.pending_events == ref.kernel.pending_events
+        assert real.kernel.run() == ref.kernel.run()
+        assert real.log == ref.log
+        assert len(real.log) > 30
+        assert real.kernel.events_dispatched == len(real.log)
+        assert real.kernel.pending_events == 0
+        assert real.kernel.now == ref.kernel.now
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_windowed_runs_match_reference_clock(self, seed):
+        real, ref = _twin_programs(seed)
+        rng = random.Random(-seed - 1)
+        for _ in range(60):
+            # Cancel the head now and then, so windows open on dead entries.
+            head = ref.kernel.head_seq()
+            if head is not None and rng.random() < 0.4:
+                real.cancel(head)
+                ref.cancel(head)
+            if rng.random() < 0.3:
+                child_seed = rng.random()
+                real.create(random.Random(child_seed), absolute=False)
+                ref.create(random.Random(child_seed), absolute=False)
+            until_ns = ref.kernel.now + rng.randint(0, 15)
+            max_events = rng.choice([None, 0, 1, 2, 5])
+            assert real.kernel.run(until_ns, max_events) == ref.kernel.run(
+                until_ns, max_events
+            )
+            assert real.kernel.now == ref.kernel.now
+            assert real.kernel.pending_events == ref.kernel.pending_events
+            assert real.log == ref.log
