@@ -10,12 +10,19 @@ Per signal, the jumpers select one of the paper's Figure 3 paths:
   registration order; the first one that claims it decides (drop / replace /
   pass), and the result is forwarded downstream after the propagation delay.
   Trojans may also *inject* events the Arduino never produced.
+
+A run of STEP pulses may cross the mux in one piece when every Trojan on
+the signal has a batch handler: each handler keeps a subset of the pulses it
+is offered and names the twins it injects, and the board delivers the kept
+pulses (delayed) merged with the injected ones in one downstream batch.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
+
+import numpy as np
 
 from repro.electronics.harness import SignalHarness, SignalPath
 from repro.electronics.pins import SignalKind
@@ -67,7 +74,8 @@ class OfframpsBoard:
         self.harness = harness
         self.fabric = fabric or FpgaFabric(sim)
         self._modes: Dict[str, JumperMode] = {name: JumperMode.BYPASS for name in harness.paths}
-        self._interceptors: Dict[str, List[Callable]] = {}
+        # Per signal, (handler, batch handler or None) in registration order.
+        self._interceptors: Dict[str, List[Tuple[Callable, Optional[Callable]]]] = {}
         self.events_intercepted = 0
         self.events_dropped = 0
         self.events_replaced = 0
@@ -89,7 +97,13 @@ class OfframpsBoard:
             return
         path = self.harness.path(signal)
         if mode is JumperMode.FPGA:
-            path.install_interceptor(_OWNER, self._on_intercepted)
+            path.install_interceptor(
+                _OWNER,
+                self._on_intercepted,
+                batch=self._on_intercepted_batch,
+                ready=self._intercepted_batch_ready,
+                latency_ns=self.fabric.delay_ns,
+            )
         else:
             path.remove_interceptor(_OWNER)
         self._modes[signal] = mode
@@ -107,25 +121,37 @@ class OfframpsBoard:
     # Trojan-control mux
     # ------------------------------------------------------------------
     def register_interceptor(
-        self, signal: str, handler: Callable[[SignalPath, str, float, int], TrojanAction]
+        self,
+        signal: str,
+        handler: Callable[[SignalPath, str, float, int], TrojanAction],
+        batch: Optional[Callable] = None,
     ) -> None:
         """Attach Trojan logic to an FPGA-routed signal.
 
         ``handler(path, kind, value, time_ns)`` returns a
         :class:`TrojanAction`. Handlers are consulted in registration order;
         the first non-PASS action wins (the paper's output mux).
+
+        ``batch(path, times_ns, width_ns)`` optionally handles a run of
+        upstream STEP pulses at once. It returns ``(passed, injected)``: the
+        upstream times of the pulses it lets through (the later handlers see
+        only these) and the times of any pulses it injects, and it updates
+        its own state exactly as ``handler`` would once per pulse. A signal
+        with any handler lacking ``batch`` takes every pulse individually.
         """
-        self._interceptors.setdefault(signal, []).append(handler)
+        self._interceptors.setdefault(signal, []).append((handler, batch))
 
     def unregister_interceptor(self, signal: str, handler: Callable) -> None:
         handlers = self._interceptors.get(signal, [])
-        if handler in handlers:
-            handlers.remove(handler)
+        for index, (registered, _batch) in enumerate(handlers):
+            if registered == handler:
+                del handlers[index]
+                return
 
     def _on_intercepted(self, path: SignalPath, kind: str, value: float, time_ns: int) -> None:
         self.events_intercepted += 1
         action = TrojanAction.passthrough()
-        for handler in self._interceptors.get(path.spec.name, []):
+        for handler, _batch in self._interceptors.get(path.spec.name, ()):
             candidate = handler(path, kind, value, time_ns)
             if candidate is not None and candidate.kind != TrojanAction.PASS:
                 action = candidate
@@ -137,6 +163,31 @@ class OfframpsBoard:
         if action.kind == TrojanAction.REPLACE:
             self.events_replaced += 1
         self._drive_downstream(path, kind, out_value)
+
+    def _intercepted_batch_ready(self, path: SignalPath, count: int) -> bool:
+        handlers = self._interceptors.get(path.spec.name, ())
+        if any(batch is None for _handler, batch in handlers):
+            return False
+        # Each handler injects at most one twin per pulse it is offered, so
+        # count * (handlers + 1) bounds the downstream batch; ``ready``
+        # predicates approve every shorter run of one they approve.
+        return path.downstream.batch_ready(count * (len(handlers) + 1))
+
+    def _on_intercepted_batch(self, path: SignalPath, times_ns: np.ndarray, width_ns: int) -> None:
+        """The mux for a run of STEP pulses: :meth:`_on_intercepted` per pulse, in bulk."""
+        self.events_intercepted += len(times_ns)
+        injected = []
+        for _handler, batch in self._interceptors.get(path.spec.name, ()):
+            passed, extra = batch(path, times_ns, width_ns)
+            self.events_dropped += len(times_ns) - len(passed)
+            if len(extra):
+                injected.append(extra)
+            times_ns = passed
+        out = self.fabric.forward_times(times_ns)
+        if injected:
+            self.events_injected += sum(len(extra) for extra in injected)
+            out = np.sort(np.concatenate([out, *injected]))
+        path.downstream.pulse_batch(out, width_ns)
 
     def _drive_downstream(self, path: SignalPath, kind: str, value: float) -> None:
         if kind == "pulse":

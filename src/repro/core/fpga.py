@@ -6,13 +6,15 @@ signals with a small, bounded latency, and (b) Trojan logic can act at
 FPGA-clock resolution, e.g. inserting pulses *between* original step pulses.
 Both are captured here: event times are quantised to the 10 ns clock and
 forwarded signals incur a configurable propagation delay, defaulting to the
-paper's measured worst case of 12.923 ns (rounded up to 13 ns — the kernel's
-integer tick).
+paper's measured worst case of 12.923 ns (rounded to the nearest kernel
+tick, 13 ns, and never below 1 ns).
 """
 
 from __future__ import annotations
 
 from typing import Callable
+
+import numpy as np
 
 from repro.errors import OfframpsError
 from repro.sim.kernel import Simulator
@@ -34,7 +36,7 @@ class FpgaFabric:
             raise OfframpsError("propagation delay cannot be negative")
         self.sim = sim
         self.propagation_delay_ns = float(propagation_delay_ns)
-        self._delay_ticks = max(1, -(-int(propagation_delay_ns) // 1))  # ceil to >=1ns
+        self.delay_ns = max(1, int(round(self.propagation_delay_ns)))
         self.forwarded_events = 0
 
     @property
@@ -53,8 +55,16 @@ class FpgaFabric:
         overhead analysis (Section V-B) budgets against the signal timing.
         """
         self.forwarded_events += 1
-        delay = max(1, int(round(self.propagation_delay_ns)))
-        self.sim.schedule(delay, action)
+        self.sim.schedule(self.delay_ns, action)
+
+    def forward_times(self, times_ns: np.ndarray) -> np.ndarray:
+        """Downstream times of a run of pulses forwarded in bulk.
+
+        Counts and delays each pulse exactly as one :meth:`forward` per
+        pulse would; the caller delivers the run.
+        """
+        self.forwarded_events += len(times_ns)
+        return times_ns + self.delay_ns
 
     def at_next_tick(self, action: Callable[[], None]) -> None:
         """Run ``action`` on the next clock edge (module-to-module timing)."""

@@ -44,7 +44,7 @@ class TrojanControl:
         board = self.context.board
         board.route_through_fpga(trojan.signals_intercepted)
         for signal in trojan.signals_intercepted:
-            board.register_interceptor(signal, trojan.on_event)
+            board.register_interceptor(signal, trojan.on_event, trojan.on_batch)
         trojan.activate()
         self._enabled[trojan_id] = True
 

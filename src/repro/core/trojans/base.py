@@ -13,13 +13,19 @@ import enum
 import random
 import zlib
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
+
+import numpy as np
 
 from repro.core.board import OfframpsBoard, TrojanAction
 from repro.core.modules.homing_detect import HomingDetector
 from repro.electronics.harness import SignalHarness, SignalPath
 from repro.errors import OfframpsError
 from repro.sim.kernel import Simulator
+
+
+NO_PULSES = np.empty(0, dtype=np.int64)
+"""The empty pulse run: what a batch handler injects when it injects nothing."""
 
 
 class TrojanCategory(enum.Enum):
@@ -59,6 +65,12 @@ class Trojan:
     scenario: str = ""
     effect: str = ""
     signals_intercepted: Tuple[str, ...] = ()
+
+    # Optional bulk form of :meth:`on_event` for a run of intercepted STEP
+    # pulses, ``on_batch(path, times_ns, width_ns) -> (passed, injected)``
+    # (see :meth:`OfframpsBoard.register_interceptor`). Without it the mux
+    # offers this Trojan every pulse individually.
+    on_batch: Optional[Callable] = None
 
     def __init__(self) -> None:
         self.ctx: Optional[TrojanContext] = None

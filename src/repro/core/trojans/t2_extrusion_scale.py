@@ -14,10 +14,12 @@ desynchronise the retraction state rather than starve the part.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
+
+import numpy as np
 
 from repro.core.board import TrojanAction
-from repro.core.trojans.base import Trojan, TrojanCategory
+from repro.core.trojans.base import NO_PULSES, Trojan, TrojanCategory
 from repro.electronics.harness import SignalPath
 
 
@@ -62,3 +64,31 @@ class ExtrusionScaleTrojan(Trojan):
             return None
         self.pulses_masked += 1
         return TrojanAction.drop()
+
+    def on_batch(
+        self, path: SignalPath, times_ns: np.ndarray, width_ns: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`on_event` for a run of E pulses, which share one E_DIR level."""
+        if not self.active:
+            return times_ns, NO_PULSES
+        count = len(times_ns)
+        if self._e_dir.value == 0:
+            self._retraction_debt += count
+            return times_ns, NO_PULSES
+        primes = min(self._retraction_debt, count)
+        self._retraction_debt -= primes
+        accumulator = self._accumulator
+        keep_fraction = self.keep_fraction
+        masked = []
+        for index in range(primes, count):
+            accumulator += keep_fraction
+            if accumulator >= 1.0:
+                accumulator -= 1.0
+            else:
+                masked.append(index)
+        self._accumulator = accumulator
+        self.pulses_masked += len(masked)
+        self.pulses_kept += count - primes - len(masked)
+        if not masked:
+            return times_ns, NO_PULSES
+        return np.delete(times_ns, masked), NO_PULSES

@@ -27,7 +27,8 @@ class SignalPath:
     Without an interceptor, events forward unchanged (zero added latency —
     a solder-bridged jumper). With one, the interceptor receives every
     upstream event and is responsible for driving (or withholding from) the
-    downstream wire.
+    downstream wire; on a STEP signal it may also take whole runs of pulses
+    (see :meth:`install_interceptor`).
     """
 
     def __init__(self, sim: Simulator, spec: SignalSpec) -> None:
@@ -37,6 +38,9 @@ class SignalPath:
         self.downstream = self._make_wire(sim, spec, side="down")
         self._interceptor: Optional[Callable] = None
         self._interceptor_owner: Optional[str] = None
+        self._interceptor_batch: Optional[Callable] = None
+        self._interceptor_ready: Optional[Callable[["SignalPath", int], bool]] = None
+        self.latency_ns = 0
         self._attach_forwarder()
 
     @staticmethod
@@ -75,12 +79,19 @@ class SignalPath:
             self.downstream.pulse(width_ns)
 
     def _step_batch_ready(self, count: int) -> bool:
-        # An interceptor (FPGA Trojan mux) sees every pulse individually and
-        # may schedule kernel events per pulse — never batch through it.
-        return self._interceptor is None and self.downstream.batch_ready(count)
+        # The bypass jumper is batch-ready when its sink is; an interceptor
+        # (the FPGA Trojan mux) decides for itself, and one installed
+        # without a batch handler takes every pulse individually.
+        if self._interceptor is None:
+            return self.downstream.batch_ready(count)
+        ready = self._interceptor_ready
+        return ready is not None and ready(self, count)
 
     def _on_step_batch(self, _wire: StepWire, times_ns, width_ns: int) -> None:
-        self.downstream.pulse_batch(times_ns, width_ns)
+        if self._interceptor is None:
+            self.downstream.pulse_batch(times_ns, width_ns)
+        else:
+            self._interceptor_batch(self, times_ns, width_ns)
 
     def _on_level(self, _wire: DigitalWire, value: int, time_ns: int) -> None:
         if self._interceptor is not None:
@@ -101,11 +112,27 @@ class SignalPath:
     def intercepted(self) -> bool:
         return self._interceptor is not None
 
-    def install_interceptor(self, owner: str, handler: Callable) -> None:
+    def install_interceptor(
+        self,
+        owner: str,
+        handler: Callable,
+        *,
+        batch: Optional[Callable] = None,
+        ready: Optional[Callable[["SignalPath", int], bool]] = None,
+        latency_ns: int = 0,
+    ) -> None:
         """Route this signal through ``handler(path, kind, value, time_ns)``.
 
         ``kind`` is ``"pulse"``, ``"level"``, or ``"value"``; the handler must
         drive ``path.downstream`` itself if the event should propagate.
+
+        On a STEP signal, ``batch(path, times_ns, width_ns)`` takes a whole
+        run of upstream pulses at once whenever ``ready(path, count)``
+        approves; it must be observably identical to ``handler`` once per
+        pulse. Without ``ready`` every pulse goes to ``handler``.
+        ``latency_ns`` is how long after an upstream pulse its downstream
+        effect lands: bulk emitters end their windows that much before the
+        next pending kernel event.
         """
         if self._interceptor is not None and self._interceptor_owner != owner:
             raise OfframpsError(
@@ -113,6 +140,9 @@ class SignalPath:
             )
         self._interceptor = handler
         self._interceptor_owner = owner
+        self._interceptor_batch = batch
+        self._interceptor_ready = ready
+        self.latency_ns = latency_ns
 
     def remove_interceptor(self, owner: str) -> None:
         """Return the signal to the direct-bypass configuration."""
@@ -125,6 +155,9 @@ class SignalPath:
             )
         self._interceptor = None
         self._interceptor_owner = None
+        self._interceptor_batch = None
+        self._interceptor_ready = None
+        self.latency_ns = 0
         self._resync()
 
     def _resync(self) -> None:

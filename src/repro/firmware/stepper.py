@@ -16,14 +16,17 @@ equal to the scalar reference) and steps are emitted in *chunks* — one
 kernel event per run of steps spanning an event-free window, with pulses
 delivered in bulk through :meth:`~repro.sim.signals.StepWire.pulse_batch`.
 Every consumer on the wire must declare itself batch-capable for the
-window's pulse count; anything that needs per-step granularity (a Trojan
-interceptor on the path, an endstop the run would cross, a travel-limit
-clamp, the armed tracker's first-step sync, a plain test tap) vetoes the
-batch and that step dispatches precisely. Chunks never span a pending
-kernel event, never outrun ``Simulator.run``'s window, and the final step
-of a block is always precise, so aborts, homing, and block-done chaining
-keep their exact per-event semantics — the byte-identical-verdict contract
-is preserved by construction, not by luck.
+window's pulse count; anything that needs per-step granularity (an endstop
+the run would cross, a travel-limit clamp, the armed tracker's first-step
+sync, a Trojan without a batch handler, a plain test tap) vetoes the batch
+and that step dispatches precisely. Chunks never span a pending kernel
+event — counting the FPGA's propagation delay on an intercepted STEP wire —
+never outrun ``Simulator.run``'s window, and the final step of a block is
+always precise, so aborts and block-done chaining keep their exact
+per-event semantics. Homing moves emit runs the same way, and the step that
+trips the endstop is always precise, so the stop condition is first seen at
+the same event. The byte-identical-verdict contract is preserved by
+construction, not by luck.
 """
 
 from __future__ import annotations
@@ -69,6 +72,7 @@ class StepperExecutor:
         self.fast_path = fast_path
         self._rng = random.Random(config.time_noise_seed)
 
+        self._step_paths = {axis: harness.path(f"{axis}_STEP") for axis in AXES}
         self._step_wires = {axis: harness.upstream(f"{axis}_STEP") for axis in AXES}
         self._dir_wires = {axis: harness.upstream(f"{axis}_DIR") for axis in AXES}
         self._en_wires = {axis: harness.upstream(f"{axis}_EN") for axis in AXES}
@@ -89,13 +93,6 @@ class StepperExecutor:
         self._pulse_cum: Optional[Dict[str, "np.ndarray"]] = None
         self._pulse_idx: Optional[Dict[str, "np.ndarray"]] = None
         self._abs_times: Optional["np.ndarray"] = None
-        # Some vetoes are one-step transient (the armed tracker's first-step
-        # sync), others block-stable (an interceptor on the path, an endstop
-        # in range). Retrying the window scan after every vetoed step would
-        # cost more than the precise path it falls back to, so after a few
-        # consecutive vetoes chunking is abandoned for the rest of the block.
-        self._chunking = False
-        self._veto_streak = 0
 
         self.on_block_done: List[Callable[[], None]] = []
         self.on_idle: List[Callable[[], None]] = []
@@ -162,14 +159,11 @@ class StepperExecutor:
                 idx[axis] = np.nonzero(cumulative[1:] > cumulative[:-1])[0]
             self._pulse_cum = cum
             self._pulse_idx = idx
-            self._chunking = True
-            self._veto_streak = 0
         else:
             self._times = self._step_times(block)
             self._pulse_cum = None
             self._pulse_idx = None
             self._abs_times = None
-            self._chunking = False
         self._schedule_next()
 
     def _block_profile(self, block: MotionBlock):
@@ -278,7 +272,7 @@ class StepperExecutor:
             self._finish_block()
             return
         at = self._block_start_ns + int(self._times[self._index])
-        if self._chunking and self._index < n - 1:
+        if self._pulse_cum is not None and self._index < n - 1:
             # The final step of a block always dispatches precisely so
             # _finish_block (and the command pump it wakes) runs at the
             # last step's own timestamp, exactly as in precise mode.
@@ -315,6 +309,22 @@ class StepperExecutor:
         self._index += 1
         self._schedule_next()
 
+    def _window(self, first_ns: int, lag: int):
+        """Bounds on the pulse times of a bulk run starting at ``first_ns``.
+
+        Returns ``(last, before)``: every pulse must be at or before
+        ``last`` (inclusive: ``run`` dispatches events at exactly its
+        ``until_ns``) and strictly before ``before`` (None: no pending
+        event). Pulses landing ``lag`` late downstream shift both bounds
+        by ``lag``, so no foreign event sees a pulse before its time.
+        """
+        last = first_ns + FAST_CHUNK_MAX_NS
+        until = self.sim.run_until_ns
+        if until is not None and until - lag < last:
+            last = until - lag
+        next_event = self.sim.next_event_time()
+        return last, None if next_event is None else next_event - lag
+
     def _emit_chunk(self) -> None:
         """Emit every step in the largest provably-safe event-free window.
 
@@ -322,9 +332,11 @@ class StepperExecutor:
         strictly before the next pending kernel event (so no foreign
         callback ever observes half-applied bulk state), at the kernel's
         ``run`` bound, at :data:`FAST_CHUNK_MAX_NS`, and always before the
-        block's final step. If the window is empty or any wire consumer
-        vetoes bulk delivery, exactly one step dispatches precisely and
-        the next scheduling decision tries again.
+        block's final step. Where a STEP wire is intercepted, its pulses
+        land downstream ``latency_ns`` late, and the window ends that much
+        earlier. If the window is empty or any wire consumer vetoes bulk
+        delivery, exactly one step dispatches precisely and the next
+        scheduling decision tries again.
         """
         block = self._block
         if block is None:
@@ -332,17 +344,11 @@ class StepperExecutor:
         abs_times = self._abs_times
         i0 = self._index
         n = len(abs_times)
-
-        limit = self._block_start_ns + int(self._times[i0]) + FAST_CHUNK_MAX_NS
-        until = self.sim.run_until_ns
-        if until is not None and until < limit:
-            limit = until
-        # Steps at or before `limit` (inclusive: run() dispatches events at
-        # exactly until_ns), but strictly before the next pending event.
-        i1 = int(np.searchsorted(abs_times, limit, side="right"))
-        next_event = self.sim.next_event_time()
-        if next_event is not None:
-            i1 = min(i1, int(np.searchsorted(abs_times, next_event, side="left")))
+        lag = max(path.latency_ns for path in self._step_paths.values())
+        last, before = self._window(int(abs_times[i0]), lag)
+        i1 = int(abs_times.searchsorted(last, side="right"))
+        if before is not None:
+            i1 = min(i1, int(abs_times.searchsorted(before, side="left")))
         i1 = min(i1, n - 1)
 
         if i1 <= i0:
@@ -361,12 +367,8 @@ class StepperExecutor:
                 spans.append((axis, indices, lo, hi))
         for axis, _indices, lo, hi in spans:
             if not self._step_wires[axis].batch_ready(hi - lo):
-                self._veto_streak += 1
-                if self._veto_streak >= 3:
-                    self._chunking = False
                 self._emit_step()
                 return
-        self._veto_streak = 0
 
         for axis, indices, lo, hi in spans:
             times = abs_times[indices[lo:hi]]
@@ -409,7 +411,11 @@ class StepperExecutor:
         """Constant-speed move on one axis until ``stop_when()`` or ``max_mm``.
 
         ``on_done(hit, steps_taken)`` fires when the move ends; ``hit`` tells
-        whether the stop condition (endstop) ended it.
+        whether the stop condition (endstop) ended it. On the fast path
+        ``stop_when`` is read once per run of pulses
+        (:meth:`_home_run_length`), so it may change only at a kernel event
+        or through a STEP-wire consumer that vetoes the run, as the
+        endstop's range check does.
         """
         if not self.idle:
             raise FirmwareError("home_move while the stepper is busy")
@@ -422,18 +428,27 @@ class StepperExecutor:
         interval_ns = max(1, int(1e9 / (feedrate_mm_s * spm)))
         remaining = int(max_mm * spm)
         state = {"taken": 0}
+        wire = self._step_wires[axis]
 
         def step_once() -> None:
             if stop_when is not None and stop_when():
                 finish(True)
                 return
-            if state["taken"] >= remaining:
+            left = remaining - state["taken"]
+            if left <= 0:
                 finish(False)
                 return
-            self._step_wires[axis].pulse(self.config.step_pulse_width_ns)
-            self.steps_emitted[axis] += direction
-            state["taken"] += 1
-            self._handle = self.sim.schedule(interval_ns, step_once)
+            count = self._home_run_length(axis, interval_ns, left) if self.fast_path else 1
+            width = self.config.step_pulse_width_ns
+            if count > 1:
+                now = self.sim.now
+                wire.pulse_batch(now + interval_ns * np.arange(count, dtype=np.int64), width)
+            else:
+                count = 1
+                wire.pulse(width)
+            self.steps_emitted[axis] += direction * count
+            state["taken"] += count
+            self._handle = self.sim.schedule(interval_ns * count, step_once)
 
         def finish(hit: bool) -> None:
             self._homing = False
@@ -441,6 +456,33 @@ class StepperExecutor:
             on_done(hit, state["taken"])
 
         self._handle = self.sim.schedule(_DIR_SETTLE_NS, step_once)
+
+    def _home_run_length(self, axis: str, interval_ns: int, left: int) -> int:
+        """How many homing pulses, one per ``interval_ns`` from now, make one batch.
+
+        The pulses keep within :meth:`_window`, as a chunk's do. The
+        endstop's range check vetoes any run that would trip the switch;
+        bisecting the count (ready checks approve every shorter run of one
+        they approve) keeps the pulses before the trip in one batch and
+        leaves the tripping pulse precise. A result below 2 means one
+        precise pulse.
+        """
+        wire = self._step_wires[axis]
+        now = self.sim.now
+        last, before = self._window(now, self._step_paths[axis].latency_ns)
+        count = min(left, (last - now) // interval_ns + 1)
+        if before is not None:
+            count = min(count, -(-(before - now) // interval_ns))
+        if count < 2 or wire.batch_ready(count):
+            return count
+        approved, vetoed = 0, count
+        while vetoed - approved > 1:
+            middle = (approved + vetoed) // 2
+            if wire.batch_ready(middle):
+                approved = middle
+            else:
+                vetoed = middle
+        return approved
 
     # ------------------------------------------------------------------
     def abort(self) -> None:

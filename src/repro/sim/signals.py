@@ -141,9 +141,9 @@ class StepWire(Wire):
         whose readiness check declines vetoes batching — the emitter then
         falls back to per-pulse dispatch, which is always correct.
         """
-        for handler, ready in zip(self._batch_handlers, self._ready_checks):
-            if handler is None:
-                return False
+        if None in self._batch_handlers:
+            return False
+        for ready in self._ready_checks:
             if ready is not None and not ready(count):
                 return False
         return True

@@ -1,11 +1,13 @@
 """OFFRAMPS board and FPGA fabric tests."""
 
+import numpy as np
 import pytest
 
 from repro.core.board import JumperMode, OfframpsBoard, TrojanAction
 from repro.core.fpga import FPGA_CLOCK_HZ, FpgaFabric, MAX_PROPAGATION_DELAY_NS
 from repro.electronics.harness import SignalHarness
 from repro.errors import OfframpsError
+from repro.sim.kernel import Simulator
 
 
 def _board(sim):
@@ -30,7 +32,23 @@ class TestFabric:
         fired = []
         fabric.forward(lambda: fired.append(sim.now))
         sim.run()
-        assert fired == [13]  # ceil(12.923)
+        assert fired == [13]  # 12.923 ns on the kernel's integer tick
+
+    def test_one_delay_in_whole_ns(self, sim):
+        assert FpgaFabric(sim).delay_ns == 13
+        assert FpgaFabric(sim, propagation_delay_ns=12.4).delay_ns == 12
+        assert FpgaFabric(sim, propagation_delay_ns=0).delay_ns == 1  # never instantaneous
+
+    def test_forward_times_matches_per_pulse_forwards(self, sim):
+        times = np.asarray([0, 5, 40, 40, 1000], dtype=np.int64)
+        per_pulse = FpgaFabric(sim)
+        fired = []
+        for t in times.tolist():
+            sim.schedule_at(t, lambda: per_pulse.forward(lambda: fired.append(sim.now)))
+        sim.run()
+        batched = FpgaFabric(Simulator())
+        assert batched.forward_times(times).tolist() == fired
+        assert batched.forwarded_events == per_pulse.forwarded_events == len(times)
 
     def test_at_next_tick(self, sim):
         fabric = FpgaFabric(sim)
@@ -126,6 +144,99 @@ class TestTrojanMux:
         harness.upstream("D9_FAN").drive(0.5)
         sim.run()
         assert harness.downstream("D9_FAN").duty == pytest.approx(0.5)
+
+
+def _mux_run(times, handlers, batched):
+    """Run ``times`` through an FPGA-routed E_STEP; report what came out.
+
+    ``handlers`` are (per-pulse, batch) factories, instantiated fresh so
+    both replays start from the same handler state.
+    """
+    sim = Simulator()
+    harness, board = _board(sim)
+    board.set_mode("E_STEP", JumperMode.FPGA)
+    for make in handlers:
+        per_pulse, batch = make(board)
+        board.register_interceptor("E_STEP", per_pulse, batch)
+    seen = []
+    harness.downstream("E_STEP").on_pulse(
+        lambda w, t, width: seen.append(t),
+        batch=lambda w, ts, width: seen.extend(ts.tolist()),
+    )
+    upstream = harness.upstream("E_STEP")
+    if batched:
+        assert upstream.batch_ready(len(times))
+        upstream.pulse_batch(np.asarray(times, dtype=np.int64), 2000)
+    else:
+        for t in times:
+            sim.schedule_at(t, upstream.pulse)
+    sim.run()
+    counters = (
+        board.events_intercepted,
+        board.events_dropped,
+        board.events_injected,
+        board.fabric.forwarded_events,
+    )
+    return seen, counters
+
+
+def _drop_every_other(board):
+    state = {"n": 0}
+
+    def per_pulse(path, kind, value, t):
+        state["n"] += 1
+        return TrojanAction.drop() if state["n"] % 2 else None
+
+    def batch(path, times, width):
+        keep = [(state["n"] + i + 1) % 2 == 0 for i in range(len(times))]
+        state["n"] += len(times)
+        return times[np.asarray(keep, dtype=bool)], times[:0]
+
+    return per_pulse, batch
+
+
+def _inject_twin(board):
+    def per_pulse(path, kind, value, t):
+        board.inject_pulse("E_STEP", int(value))
+        return None
+
+    def batch(path, times, width):
+        return times, times.copy()
+
+    return per_pulse, batch
+
+
+class TestBatchedMux:
+    TIMES = [100, 110, 5000, 5000, 5013, 9000, 12000]
+
+    @pytest.mark.parametrize(
+        "handlers",
+        [
+            pytest.param((), id="no-trojan"),
+            pytest.param((_drop_every_other,), id="drop"),
+            pytest.param((_inject_twin,), id="inject"),
+            pytest.param((_drop_every_other, _inject_twin), id="drop-then-inject"),
+            pytest.param((_inject_twin, _drop_every_other), id="inject-then-drop"),
+        ],
+    )
+    def test_batch_matches_per_pulse(self, handlers):
+        assert _mux_run(self.TIMES, handlers, True) == _mux_run(self.TIMES, handlers, False)
+
+    def test_handler_without_batch_vetoes(self, sim):
+        harness, board = _board(sim)
+        board.set_mode("E_STEP", JumperMode.FPGA)
+        assert harness.upstream("E_STEP").batch_ready(4)
+        board.register_interceptor("E_STEP", lambda p, k, v, t: None)
+        assert not harness.upstream("E_STEP").batch_ready(4)
+
+    def test_intercepted_path_reports_fabric_latency(self, sim):
+        harness, board = _board(sim)
+        path = harness.path("E_STEP")
+        assert path.latency_ns == 0
+        board.set_mode("E_STEP", JumperMode.FPGA)
+        assert path.latency_ns == board.fabric.delay_ns == 13
+        board.set_mode("E_STEP", JumperMode.BYPASS)
+        assert path.latency_ns == 0
 
 
 class TestInjection:
