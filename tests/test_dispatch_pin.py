@@ -4,8 +4,9 @@ Parity tests elsewhere compare two paths *within* one commit (fast vs
 precise, serial vs distributed). This one compares against a committed
 ground truth: for every unique session of the ``smoke`` grid it pins the
 status, the kernel's ``events_dispatched``, the final simulated time, the
-per-axis step totals and a digest of every captured UART transaction. A
-refactor of the kernel, the stepper or the wire fan-out that moves a
+per-axis step totals, a digest of every captured UART transaction and a
+digest of every deposition-trace sample (the plant's 20 ms head/extruder
+positions). A refactor of the kernel, the stepper or the wire fan-out that moves a
 single scheduling decision changes at least one of these numbers.
 
 The pin file is ``tests/data/smoke_dispatch_pin.json``. Regenerate it
@@ -34,6 +35,13 @@ def _transactions_sha256(transactions) -> str:
     return digest.hexdigest()
 
 
+def _trace_sha256(samples) -> str:
+    digest = hashlib.sha256()
+    for s in samples:
+        digest.update(f"{s.time_ns},{s.x_mm!r},{s.y_mm!r},{s.z_mm!r},{s.e_mm!r}\n".encode())
+    return digest.hexdigest()
+
+
 def observed() -> Dict[str, Dict]:
     """Simulate each unique smoke session once; key the outcome by content key."""
     specs = []
@@ -53,6 +61,8 @@ def observed() -> Dict[str, Dict]:
             "final_counts": dict(sorted(summary.final_counts.items())),
             "transactions": len(summary.transactions),
             "transactions_sha256": _transactions_sha256(summary.transactions),
+            "trace_samples": len(summary.trace.samples),
+            "trace_sha256": _trace_sha256(summary.trace.samples),
         }
         for spec, summary in zip(specs, summaries)
     }

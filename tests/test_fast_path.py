@@ -442,6 +442,10 @@ def _observables(result):
             ]
             for name in (result.tracer.signal_names if result.tracer else ())
         },
+        "deposition": [
+            (s.time_ns, s.x_mm, s.y_mm, s.z_mm, s.e_mm)
+            for s in result.plant.trace.samples
+        ],
         "mux": (
             result.board.events_intercepted,
             result.board.events_dropped,
