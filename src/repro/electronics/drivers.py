@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
+import numpy as np
+
 from repro.errors import ElectronicsError
 from repro.sim.signals import DigitalWire, StepWire
 
@@ -21,9 +23,11 @@ class A4988Driver:
     """One stepper driver channel: STEP/DIR/EN in, motor microsteps out.
 
     ``on_step(direction, time_ns)`` is invoked per accepted pulse with
-    ``direction`` ∈ {+1, -1}. Pulses arriving while disabled are counted in
-    ``missed_steps`` — the physical motor did not move, which is how the
-    plant observes T8's sabotage.
+    ``direction`` ∈ {+1, -1}; ``on_step_batch(direction, times_ns)`` takes a
+    run of accepted pulses approved by ``on_step_ready(direction, count)``.
+    Pulses arriving while disabled are counted in ``missed_steps`` — the
+    physical motor did not move, which is how the plant observes T8's
+    sabotage.
     """
 
     def __init__(
@@ -35,7 +39,7 @@ class A4988Driver:
         on_step: Callable[[int, int], None],
         microsteps: int = 16,
         invert_direction: bool = False,
-        on_step_batch: Optional[Callable[[int, int, int], None]] = None,
+        on_step_batch: Optional[Callable[[int, np.ndarray], None]] = None,
         on_step_ready: Optional[Callable[[int, int], bool]] = None,
     ) -> None:
         if microsteps not in VALID_MICROSTEPS:
@@ -89,4 +93,4 @@ class A4988Driver:
             self.missed_steps += count
             return
         self.steps_taken += count
-        self._on_step_batch(self.direction, count, int(times_ns[-1]))
+        self._on_step_batch(self.direction, times_ns)

@@ -48,8 +48,8 @@ class RampsBoard:
                 enable=harness.downstream(f"{axis}_EN"),
                 on_step=lambda direction, t, _axis=axis: plant.motor_step(_axis, direction, t),
                 microsteps=microsteps,
-                on_step_batch=lambda direction, count, t, _axis=axis: plant.motor_step_batch(
-                    _axis, direction, count, t
+                on_step_batch=lambda direction, times, _axis=axis: plant.motor_step_batch(
+                    _axis, direction, times
                 ),
                 on_step_ready=lambda direction, count, _axis=axis: plant.can_batch_steps(
                     _axis, direction, count

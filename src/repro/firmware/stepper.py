@@ -23,9 +23,11 @@ and that step dispatches precisely. Chunks never span a pending kernel
 event — counting the FPGA's propagation delay on an intercepted STEP wire —
 never outrun ``Simulator.run``'s window, and the final step of a block is
 always precise, so aborts and block-done chaining keep their exact
-per-event semantics. Homing moves emit runs the same way, and the step that
-trips the endstop is always precise, so the stop condition is first seen at
-the same event. The byte-identical-verdict contract is preserved by
+per-event semantics. The plant's deposition samples take no kernel event
+(each axis fills its sample grid from the step times), so chunks run
+through sample instants. Homing moves emit runs the same way, and the step
+that trips the endstop is always precise, so the stop condition is first
+seen at the same event. The byte-identical-verdict contract is preserved by
 construction, not by luck.
 """
 
@@ -47,11 +49,11 @@ from repro.sim.time import MS, US
 _DIR_SETTLE_NS = 2 * US  # DIR→STEP setup time honoured at block start
 
 # Latency ceiling for one emitted chunk of steps. Chunks already stop at the
-# next pending kernel event — in a full session the 20 ms deposition sampler
-# and 50 ms thermistor refresh bound every window — so this cap only matters
-# when the queue is otherwise empty; it bounds how far a single bulk event
-# can run ahead of anything a test or module might schedule next.
-FAST_CHUNK_MAX_NS = 20 * MS
+# next pending kernel event; in a full session the shortest periodic one is
+# the 50 ms thermistor refresh, so this cap matches it and rarely binds
+# there. It bounds how far a single bulk event can run ahead of anything a
+# test or module might schedule next when the queue is otherwise quiet.
+FAST_CHUNK_MAX_NS = 50 * MS
 
 
 class StepperExecutor:

@@ -4,13 +4,22 @@ Each axis integrates signed steps into a physical position. Travel limits
 model the hard frame: steps commanded past an end of travel do not move the
 carriage (belts skip) and are recorded as crash steps — this is how runaway
 Trojan moves manifest physically instead of teleporting the head.
+
+Each axis also fills its share of the plant's deposition sample grid
+(``origin + k * period``) as steps arrive, so sampling costs no kernel
+events: a sample at ``ts`` sees every step with time strictly before ``ts``.
 """
 
 from __future__ import annotations
 
 from typing import Callable, List, Optional
 
+import numpy as np
+
 from repro.errors import PlantError
+
+# Grid instant of an axis that is not sampling: later than any step time.
+_NO_GRID = 1 << 62
 
 
 class AxisMechanics:
@@ -37,6 +46,12 @@ class AxisMechanics:
         self.total_steps = 0
         self._listeners: List[Callable[[str, float, int], None]] = []
         self._range_oks: List[Optional[Callable[[float, float], bool]]] = []
+        # Sample grid: positions (in steps) recorded at grid instants not yet
+        # taken, the instant of the first of them, and the next to record.
+        self._grid_steps: List[int] = []
+        self._grid_first_ns = _NO_GRID
+        self._grid_next_ns = _NO_GRID
+        self._grid_period_ns = 1
 
     @property
     def position_mm(self) -> float:
@@ -58,10 +73,43 @@ class AxisMechanics:
         self._listeners.append(callback)
         self._range_oks.append(range_ok)
 
+    def start_grid(self, first_ns: int, period_ns: int) -> None:
+        """Record the position at ``first_ns + k * period_ns`` for k = 0, 1, ..."""
+        self._grid_steps = []
+        self._grid_first_ns = self._grid_next_ns = first_ns
+        self._grid_period_ns = period_ns
+
+    def stop_grid(self) -> None:
+        self._grid_steps = []
+        self._grid_first_ns = self._grid_next_ns = _NO_GRID
+
+    def _fill_grid(self, until_ns: int) -> None:
+        """Record the current position at every grid instant ``<= until_ns``."""
+        count = (until_ns - self._grid_next_ns) // self._grid_period_ns + 1
+        self._grid_steps.extend([self.position_steps] * count)
+        self._grid_next_ns += count * self._grid_period_ns
+
+    def take_grid(self, until_ns: int) -> List[float]:
+        """Positions (mm) at the untaken grid instants ``<= until_ns``, oldest first.
+
+        Each sees every step with time before its instant, none at or after.
+        """
+        if until_ns < self._grid_first_ns:
+            return []
+        if until_ns >= self._grid_next_ns:
+            self._fill_grid(until_ns)
+        count = (until_ns - self._grid_first_ns) // self._grid_period_ns + 1
+        taken = self._grid_steps[:count]
+        del self._grid_steps[:count]
+        self._grid_first_ns += count * self._grid_period_ns
+        return [steps / self.steps_per_mm for steps in taken]
+
     def step(self, direction: int, time_ns: int) -> None:
         """Advance one microstep in ``direction`` (+1/-1), honouring limits."""
         if direction not in (1, -1):
             raise PlantError(f"axis {self.name}: step direction must be +1/-1, got {direction}")
+        if time_ns >= self._grid_next_ns:
+            self._fill_grid(time_ns)
         self.total_steps += 1
         candidate = self.position_steps + direction
         candidate_mm = candidate / self.steps_per_mm
@@ -100,14 +148,26 @@ class AxisMechanics:
                 return False
         return True
 
-    def step_batch(self, direction: int, count: int, time_ns: int) -> None:
-        """Apply ``count`` accepted steps at once; one listener call at the end.
+    def step_batch(self, direction: int, times_ns: np.ndarray) -> None:
+        """Apply a run of accepted steps at ``times_ns`` (nondecreasing) at once.
 
         Only valid after :meth:`batch_ok` approved the same run — no limit
-        clamping happens here, and listeners see only the final position.
+        clamping happens here, and listeners see only the final position, at
+        the last step's time. Grid instants the run covers record the
+        position after the steps strictly before them.
         """
+        count = len(times_ns)
+        last_ns = int(times_ns[-1])
+        start = self.position_steps
+        # A run spans at most one chunk window, so this loops a few times.
+        next_ns = self._grid_next_ns
+        while next_ns <= last_ns:
+            before = int(times_ns.searchsorted(next_ns, side="left"))
+            self._grid_steps.append(start + direction * before)
+            next_ns += self._grid_period_ns
+        self._grid_next_ns = next_ns
         self.total_steps += count
-        self.position_steps += direction * count
+        self.position_steps = start + direction * count
         position_mm = self.position_steps / self.steps_per_mm
         for listener in self._listeners:
-            listener(self.name, position_mm, time_ns)
+            listener(self.name, position_mm, last_ns)

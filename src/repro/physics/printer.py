@@ -1,7 +1,7 @@
 """The whole-machine plant: a Prusa-i3-MK3S-like printer's physics.
 
 :class:`PrinterPlant` owns the axis mechanics, the hotend/bed thermal nodes,
-the part-cooling fan state, and the deposition sampler. It exposes exactly
+the part-cooling fan state, and the deposition trace. It exposes exactly
 the interfaces the RAMPS board model drives (motor steps, heater power, fan
 duty) and the interfaces the sensors read back (carriage positions for the
 endstops, block temperatures for the thermistors) — closing the
@@ -13,12 +13,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.errors import PlantError
 from repro.physics.deposition import PartTrace, TraceSample
 from repro.physics.kinematics import AxisMechanics
 from repro.physics.thermal import ThermalNode
-from repro.sim.kernel import PeriodicTask, Simulator
+from repro.sim.kernel import Simulator
 from repro.sim.time import MS
+
+# The axes a deposition sample records, in TraceSample field order.
+_SAMPLED_AXES = ("X", "Y", "Z", "E")
 
 
 @dataclass(frozen=True)
@@ -92,8 +97,9 @@ class PrinterPlant:
         self.fan_duty = 0.0
         self.fan_profile: List[Tuple[int, float]] = [(sim.now, 0.0)]
 
-        self.trace = PartTrace()
-        self._sampler: Optional[PeriodicTask] = None
+        self._trace = PartTrace()
+        self._sample_period_ns = prof.sample_period_ms * MS
+        self._next_sample_ns: Optional[int] = None  # None: not sampling
 
     # ------------------------------------------------------------------
     # Actuator-side interfaces (driven by the RAMPS model)
@@ -111,13 +117,13 @@ class PrinterPlant:
         mechanics = self.axes.get(axis)
         return mechanics is not None and mechanics.batch_ok(direction, count)
 
-    def motor_step_batch(self, axis: str, direction: int, count: int, time_ns: int) -> None:
+    def motor_step_batch(self, axis: str, direction: int, times_ns: np.ndarray) -> None:
         """Apply a :meth:`can_batch_steps`-approved run of microsteps at once."""
         try:
             mechanics = self.axes[axis]
         except KeyError:
             raise PlantError(f"unknown axis {axis!r}") from None
-        mechanics.step_batch(direction, count, time_ns)
+        mechanics.step_batch(direction, times_ns)
 
     def set_hotend_power(self, power_w: float, time_ns: int) -> None:
         self.hotend.set_power(power_w, time_ns)
@@ -147,28 +153,43 @@ class PrinterPlant:
     # Deposition sampling
     # ------------------------------------------------------------------
     def start_sampling(self) -> None:
-        """Begin recording the deposition trace (idempotent)."""
-        if self._sampler is None or self._sampler.cancelled:
-            self._take_sample()
-            self._sampler = self.sim.every(
-                self.profile.sample_period_ms * MS, self._take_sample
-            )
+        """Begin recording the deposition trace (idempotent).
+
+        Samples land on a grid: now, then every ``sample_period_ms``. No
+        kernel event takes them — each axis records its position at the
+        grid instants its steps pass (:meth:`AxisMechanics.step_batch`), so
+        a sample at ``ts`` sees every step before ``ts`` and none at it.
+        """
+        if self._next_sample_ns is None:
+            now = self.sim.now
+            self._next_sample_ns = now
+            for name in _SAMPLED_AXES:
+                self.axes[name].start_grid(now, self._sample_period_ns)
+            self._flush_samples()
 
     def stop_sampling(self) -> None:
-        if self._sampler is not None:
-            self._sampler.cancel()
-            self._sampler = None
+        if self._next_sample_ns is not None:
+            self._flush_samples()
+            self._next_sample_ns = None
+            for name in _SAMPLED_AXES:
+                self.axes[name].stop_grid()
 
-    def _take_sample(self) -> None:
-        self.trace.add_sample(
-            TraceSample(
-                time_ns=self.sim.now,
-                x_mm=self.axes["X"].position_mm,
-                y_mm=self.axes["Y"].position_mm,
-                z_mm=self.axes["Z"].position_mm,
-                e_mm=self.axes["E"].position_mm,
-            )
-        )
+    @property
+    def trace(self) -> PartTrace:
+        """The deposition trace, holding every sample due by now."""
+        self._flush_samples()
+        return self._trace
+
+    def _flush_samples(self) -> None:
+        """Move every grid sample due by now from the axes into the trace."""
+        first_ns = self._next_sample_ns
+        if first_ns is None:
+            return
+        columns = [self.axes[name].take_grid(self.sim.now) for name in _SAMPLED_AXES]
+        period = self._sample_period_ns
+        for k, (x_mm, y_mm, z_mm, e_mm) in enumerate(zip(*columns)):
+            self._trace.add_sample(TraceSample(first_ns + k * period, x_mm, y_mm, z_mm, e_mm))
+        self._next_sample_ns = first_ns + len(columns[0]) * period
 
     # ------------------------------------------------------------------
     # Outcome summary

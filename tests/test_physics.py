@@ -1,7 +1,9 @@
 """Physics tests: kinematics, thermal model, deposition, quality metrics."""
 
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,11 +11,11 @@ from hypothesis import strategies as st
 from repro.errors import PlantError
 from repro.physics.deposition import PartTrace, TraceSample
 from repro.physics.kinematics import AxisMechanics
-from repro.physics.printer import PrinterPlant
+from repro.physics.printer import PlantProfile, PrinterPlant
 from repro.physics.quality import compare_traces
 from repro.physics.thermal import ThermalNode
 from repro.sim.kernel import Simulator
-from repro.sim.time import S
+from repro.sim.time import MS, S
 
 
 class TestAxisMechanics:
@@ -280,7 +282,136 @@ class TestPrinterPlant:
         assert len(plant.trace) >= 50
         plant.stop_sampling()
 
+    def test_sampling_schedules_no_events(self, sim):
+        plant = PrinterPlant(sim)
+        plant.start_sampling()
+        assert sim.pending_events == 0
+        sim.run(until_ns=1 * S)
+        plant.stop_sampling()
+        assert sim.events_dispatched == 0
+        assert [s.time_ns for s in plant.trace.samples] == [k * 20 * MS for k in range(51)]
+
     def test_damage_summary_empty_when_clean(self, sim):
         plant = PrinterPlant(sim)
         assert not plant.damaged
         assert plant.damage_summary() == []
+
+
+# ----------------------------------------------------------------------
+# The lazy sample grid: axes record positions at grid instants as steps pass
+# ----------------------------------------------------------------------
+_PERIOD = 20 * MS
+
+
+def _grid_axis():
+    axis = AxisMechanics("X", 100.0, start_mm=5.0)
+    axis.start_grid(1 * S, _PERIOD)
+    return axis
+
+
+def _random_runs(seed):
+    """Nondecreasing pulse times cut into runs of one direction each.
+
+    About a third of the pulses land exactly on a grid instant; the first
+    run starts before the first instant and the last ends after the last.
+    """
+    rng = random.Random(seed)
+    t = 1 * S - 3 * _PERIOD
+    runs = []
+    for _ in range(40):
+        direction = rng.choice((1, -1))
+        times = []
+        for _ in range(rng.randint(1, 30)):
+            if rng.random() < 0.3:
+                t = (t // _PERIOD + rng.randint(0, 2)) * _PERIOD  # on the grid
+            else:
+                t += rng.choice((0, rng.randint(1, 3 * _PERIOD)))
+            times.append(t)
+        runs.append((direction, times))
+    return runs, t + 2 * _PERIOD + 7
+
+
+class TestSampleGrid:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_batch_equals_single_steps(self, seed):
+        runs, end = _random_runs(seed)
+        single, batched = _grid_axis(), _grid_axis()
+        for direction, times in runs:
+            for t in times:
+                single.step(direction, t)
+            batched.step_batch(direction, np.array(times, dtype=np.int64))
+        assert batched.position_steps == single.position_steps
+        expected = single.take_grid(end)
+        assert batched.take_grid(end) == expected
+        assert len(expected) == (end - 1 * S) // _PERIOD + 1
+
+    def test_grid_instant_sees_only_earlier_steps(self):
+        axis = _grid_axis()
+        axis.step_batch(1, np.array([1 * S - 1, 1 * S, 1 * S + _PERIOD], dtype=np.int64))
+        axis.step(1, 1 * S + 2 * _PERIOD)
+        assert axis.take_grid(1 * S + 2 * _PERIOD) == [5.01, 5.02, 5.03]
+        assert axis.take_grid(1 * S + 3 * _PERIOD) == [5.04]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_precise_events_match_reference_sampler(self, sim, seed):
+        # X starts 5 steps above its travel limit, so runs toward it crash.
+        profile = PlantProfile(start_position_mm={"X": 0.05, "Y": 12.0, "Z": 3.0, "E": 0.0})
+        plant = PrinterPlant(sim, profile)
+        reference = []
+
+        def take_reference():
+            reference.append(
+                (sim.now, *(plant.position_mm(axis) for axis in ("X", "Y", "Z", "E")))
+            )
+
+        take_reference()
+        sim.every(_PERIOD, take_reference)
+        plant.start_sampling()
+        rng = random.Random(seed)
+
+        # Each step schedules the next less than one period later, as the
+        # stepper does, so a step on a grid instant fires after the
+        # reference sampler there.
+        def step(left):
+            axis = rng.choice(("X", "Y", "Z", "E"))
+            plant.motor_step(axis, rng.choice((1, -1, -1)), sim.now)
+            if left:
+                on_grid = (sim.now // _PERIOD + 1) * _PERIOD - sim.now
+                gap = on_grid if rng.random() < 0.2 else rng.randint(0, _PERIOD // 3)
+                sim.schedule(gap, step, left - 1)
+
+        sim.schedule(0, step, 3000)
+        sim.run(until_ns=5 * S)
+        plant.stop_sampling()
+        assert plant.axes["X"].crash_steps > 0
+        assert [
+            (s.time_ns, s.x_mm, s.y_mm, s.z_mm, s.e_mm) for s in plant.trace.samples
+        ] == reference
+
+    def test_mid_run_reads_match_one_read_at_end(self):
+        def run(read_times):
+            sim = Simulator()
+            plant = PrinterPlant(sim)
+            plant.start_sampling()
+            rng = random.Random(3)
+            for t in range(0, 3 * S, 7 * MS):
+                times = np.sort(
+                    np.array([t + rng.randint(0, 60 * MS) for _ in range(20)], dtype=np.int64)
+                )
+                sim.schedule_at(t, plant.motor_step_batch, rng.choice("XYZE"), 1, times)
+                sim.schedule_at(t + 3 * MS, plant.motor_step, rng.choice("XYZE"), -1, t + 3 * MS)
+            reads = []
+            for t in read_times:
+                # Reads land on grid instants and inside batches' spans.
+                sim.schedule_at(t, lambda: reads.append(list(plant.trace.samples)))
+            sim.run(until_ns=4 * S)
+            plant.stop_sampling()
+            return reads, plant.trace.samples
+
+        reads, samples = run([20 * MS, 21 * MS, 500 * MS, 1003 * MS, 2 * S])
+        _, once = run([])
+        assert samples == once
+        assert len(once) == 4 * S // _PERIOD + 1
+        for read in reads:
+            assert read == once[: len(read)]
+        assert [len(read) for read in reads] == [2, 2, 26, 51, 101]
