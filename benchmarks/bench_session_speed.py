@@ -26,11 +26,11 @@ from repro.experiments.batch import execute_spec
 from repro.experiments.scenario import compile_scenario, grid_scenarios
 
 # Fast-path smoke-grid floor, in sessions/sec (cold cache, single process).
-# Measured ~11.8 sessions/s and 37,074 events (median of three runs; ~6.1
-# sessions/s and 99,513 events before homing moves and the Trojan mux
-# batched, interleaved on the same host) on a 2-vCPU Xeon container whose
-# speed drifts by up to 2x; the floor sits far below that so only a real
-# regression (not runner noise) trips it.
+# Measured ~12.9 sessions/s and 19,021 events (median of three runs; ~10.1
+# sessions/s and 37,074 events while the plant's deposition sampler still
+# took kernel events, interleaved on the same host) on a 2-vCPU Xeon
+# container whose speed drifts by up to 2x; the floor sits far below that
+# so only a real regression (not runner noise) trips it.
 FLOOR_SESSIONS_PER_S = 1.2
 
 

@@ -6,8 +6,9 @@ ground truth: for every unique session of the ``smoke`` grid it pins the
 status, the kernel's ``events_dispatched``, the final simulated time, the
 per-axis step totals, a digest of every captured UART transaction and a
 digest of every deposition-trace sample (the plant's 20 ms head/extruder
-positions). A refactor of the kernel, the stepper or the wire fan-out that moves a
-single scheduling decision changes at least one of these numbers.
+positions). A refactor of the kernel, the stepper or the wire fan-out
+that moves a single scheduling decision changes at least one of these
+numbers.
 
 The pin file is ``tests/data/smoke_dispatch_pin.json``. Regenerate it
 only for a change that is *meant* to alter simulated behaviour::
