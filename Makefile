@@ -4,12 +4,12 @@
 PYTHONPATH := src
 export PYTHONPATH
 
-# Where `make ci` / `make smoke` persist the session cache. CI points this
+# Where `make smoke` / `make serve` persist the session cache. CI points this
 # at the actions/cache-restored directory; locally it lives untracked in
 # the repo root (see .gitignore).
 REPRO_CI_CACHE_DIR ?= .repro-session-cache
 
-.PHONY: test lint lint-det lint-tests bench sweep smoke smoke-service smoke-distrib smoke-steal speed-gate ci serve
+.PHONY: test lint lint-det lint-tests bench sweep smoke smoke-parity speed-gate ci serve
 
 test:
 	python -m pytest -x -q
@@ -65,39 +65,19 @@ smoke:
 		--csv benchmarks/out/smoke-sweep.csv \
 		--html benchmarks/out/smoke-sweep.html
 
-# Service smoke: drive the sweep service end-to-end in-process (WSGI app +
-# SQLite job store): submit the smoke grid over HTTP, poll to completion,
-# assert the served report.csv is byte-identical to the `make smoke` CSV,
-# and assert a warm resubmission (same instance AND a second instance over
-# the same store file) is answered from the store with 0 sessions simulated.
-# Runs after `make smoke` so the reference CSV and session cache are warm.
-smoke-service:
-	python scripts/smoke_service.py \
-		--cache-dir $(REPRO_CI_CACHE_DIR) \
-		--record benchmarks/out/smoke-service.txt
-
 # Run the sweep service locally on the stdlib WSGI server.
 serve:
 	python -m repro serve --cache-dir $(REPRO_CI_CACHE_DIR)
 
-# Distributed smoke parity: the smoke grid through serial, `--hosts 2
-# --workers 2` (worker-side scoring, verdict-row payloads) and a warm repeat
-# must yield byte-identical verdict CSVs; the repeat must simulate nothing
-# and the verdict payload must be >= 5x smaller than the summary files the
-# workers wrote into the shared cache dir. The measured bytes are recorded
-# in benchmarks/out/.
-smoke-distrib:
-	python scripts/smoke_distrib.py --workers 2 \
-		--record benchmarks/out/distributed_sweep.txt
-
-# Elastic work-stealing smoke: the smoke grid over the HTTP shard-queue
-# transport (in-process service), two throttled straggler workers, and one
-# real late-joining `repro worker <url>` subprocess. The late joiner must
-# steal >= 1 shard and shorten the straggling sweep; verdict CSVs stay
-# byte-identical to serial and the warm repeat simulates 0 sessions.
-smoke-steal:
-	python scripts/smoke_steal.py \
-		--record benchmarks/out/steal_sweep.txt
+# Verdict parity across topologies: one cold serial reference CSV for the
+# smoke grid, then the distributed (`--hosts 2 --workers 2` + payload shrink
+# floor + warm repeat), service (HTTP submit/poll/report + store dedup) and
+# elastic work-stealing (throttled stragglers + a late-joining worker)
+# checks must each reproduce it byte for byte. Every check uses its own
+# fresh cache dirs. Numbers merge into benchmarks/out/smoke_parity.txt.
+smoke-parity:
+	python scripts/smoke.py --record benchmarks/out/smoke_parity.txt \
+		distrib service steal
 
 # Fast-path throughput non-regression gate: re-measures the smoke grid's
 # cold sessions/sec through the vectorized fast path and fails if it drops
@@ -107,7 +87,6 @@ speed-gate:
 
 # Mirrors .github/workflows/ci.yml step for step so CI and dev runs stay in
 # lockstep: lint -> determinism/contract lint (src + test profile) ->
-# tier-1 tests -> incremental smoke sweep -> service smoke (HTTP parity +
-# store dedup) -> distributed smoke parity -> elastic work-stealing smoke
-# -> fast-path speed gate.
-ci: lint lint-det lint-tests test smoke smoke-service smoke-distrib smoke-steal speed-gate
+# tier-1 tests -> incremental smoke sweep -> verdict parity smoke
+# (distributed, service, work stealing) -> fast-path speed gate.
+ci: lint lint-det lint-tests test smoke smoke-parity speed-gate

@@ -81,8 +81,8 @@ def test_distributed_vs_serial_wall_clock(benchmark, out_dir, tmp_path):
     machine; the speedup is recorded only — on a 1-CPU container worker
     subprocesses merely time-share, and the smoke grid is small enough that
     spawn overhead can dominate. (The authoritative payload/parity artifact
-    is benchmarks/out/distributed_sweep.txt, written by `make
-    smoke-distrib`; this benchmark records its own wall-clock view in
+    is benchmarks/out/smoke_parity.txt, written by `make
+    smoke-parity`; this benchmark records its own wall-clock view in
     distributed_bench.txt.)
     """
     scenarios = grid_scenarios("smoke")
@@ -169,7 +169,7 @@ def test_steal_vs_lpt_wall_clock(benchmark, out_dir, tmp_path):
     Both topologies must produce identical verdicts; the wall clocks are
     recorded, not asserted — with healthy equal-speed workers the two run
     neck and neck (stealing's win appears under stragglers and late
-    joiners, which `make smoke-steal` exercises deterministically), so
+    joiners, which `make smoke-parity` exercises deterministically), so
     this benchmark pins the *overhead* of finer sharding instead: the
     steal run's extra shards must not cost more than the spawn-dominated
     noise floor.
@@ -218,7 +218,7 @@ def test_steal_vs_lpt_wall_clock(benchmark, out_dir, tmp_path):
         f"steal (many small shards):  {steal_s:7.2f}s  ({steal_shards} shards)",
         f"steal/LPT ratio: {steal_s / lpt_s:.2f}x (recorded, not asserted; "
         "equal-speed workers tie — stealing pays off under stragglers, "
-        "see steal_sweep.txt)",
+        "see smoke_parity.txt)",
         "verdict parity: identical across LPT / steal shard topologies",
     ]
     text = "\n".join(lines)

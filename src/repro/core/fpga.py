@@ -39,10 +39,6 @@ class FpgaFabric:
         self.delay_ns = max(1, int(round(self.propagation_delay_ns)))
         self.forwarded_events = 0
 
-    @property
-    def clock_period_ns(self) -> int:
-        return FPGA_CLOCK_PERIOD_NS
-
     def quantize(self, time_ns: int) -> int:
         """Round ``time_ns`` up to the next FPGA clock edge."""
         remainder = time_ns % FPGA_CLOCK_PERIOD_NS

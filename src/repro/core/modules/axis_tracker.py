@@ -74,9 +74,6 @@ class AxisTracker:
         self.first_step_ns = -1
         self.armed = True
 
-    def disarm(self) -> None:
-        self.armed = False
-
     def on_first_step(self, callback: Callable[[int], None]) -> None:
         """Subscribe to the first STEP edge after arming (UART sync point)."""
         self._first_step_listeners.append(callback)

@@ -25,7 +25,7 @@ of a store just as well as from a sweep that finished a second ago:
 
 Because the CSV serializer is shared, a verdict CSV fetched from the
 service's store is byte-identical to the one ``repro sweep --csv`` writes
-for the same grid — the invariant ``make smoke-service`` pins in CI.
+for the same grid — the invariant ``make smoke-parity`` pins in CI.
 """
 
 from __future__ import annotations

@@ -114,10 +114,6 @@ class StepperExecutor:
         for axis in axes if axes is not None else list(AXES):
             self._en_wires[axis].drive(1)
 
-    @property
-    def steppers_enabled(self) -> bool:
-        return all(wire.value == 0 for wire in self._en_wires.values())
-
     # ------------------------------------------------------------------
     # Planned-block execution
     # ------------------------------------------------------------------

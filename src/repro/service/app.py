@@ -54,10 +54,14 @@ Implemented as a plain WSGI callable on the stdlib ``wsgiref`` server.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import re
-from typing import Any, Callable, Iterable, List, Optional, Tuple
+import socketserver
+import threading
+from typing import Any, Callable, Iterable, Iterator, List, Optional, Tuple
 from urllib.parse import parse_qs
+from wsgiref.simple_server import WSGIRequestHandler, WSGIServer, make_server
 
 from repro.errors import ReproError
 from repro.experiments.report import render_csv_rows, render_html_rows
@@ -435,14 +439,43 @@ def create_app(
     return ServiceApp(manager)
 
 
+class ThreadingWSGIServer(socketserver.ThreadingMixIn, WSGIServer):
+    """The stdlib WSGI server, one thread per request (jobs run while polls answer)."""
+
+    daemon_threads = True
+
+
+class QuietRequestHandler(WSGIRequestHandler):
+    """A request handler that does not log every request to stderr."""
+
+    def log_message(self, format, *args):  # noqa: A002 - wsgiref signature
+        pass
+
+
+@contextlib.contextmanager
+def background_server(app: Callable) -> Iterator[str]:
+    """Serve ``app`` on ``127.0.0.1`` (a free port) in a daemon thread.
+
+    Yields the base URL (``http://127.0.0.1:<port>``); the server shuts
+    down when the block exits. Tests and the smoke harness use it to give
+    the HTTP shard-queue transport a real socket to talk to.
+    """
+    server = make_server(
+        "127.0.0.1", 0, app,
+        server_class=ThreadingWSGIServer, handler_class=QuietRequestHandler,
+    )
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}"
+    finally:
+        server.shutdown()
+        thread.join(timeout=5)
+        server.server_close()
+
+
 def run_wsgi_server(app: ServiceApp, host: str, port: int) -> None:
-    """Serve with the stdlib WSGI server (threaded: jobs run while polls answer)."""
-    import socketserver
-    from wsgiref.simple_server import WSGIServer, make_server
-
-    class ThreadingWSGIServer(socketserver.ThreadingMixIn, WSGIServer):
-        daemon_threads = True
-
+    """Serve in the foreground on :class:`ThreadingWSGIServer` until Ctrl-C."""
     with make_server(host, port, app, server_class=ThreadingWSGIServer) as server:
         print(f"repro serve: http://{host}:{port} (Ctrl-C to stop)")
         try:

@@ -432,15 +432,6 @@ class JobStore:
                 (queue, shard_id, sqlite3.Binary(payload)),
             )
 
-    def queue_pending_ids(self, queue: str) -> List[int]:
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT shard_id FROM shards WHERE queue = ? AND state = ?"
-                " ORDER BY shard_id",
-                (queue, PENDING),
-            ).fetchall()
-        return [int(row[0]) for row in rows]
-
     def queue_claim(self, queue: str, shard_id: int, worker: str) -> Optional[bytes]:
         """Atomically claim a pending shard; its payload, or ``None`` if lost.
 
@@ -488,16 +479,6 @@ class JobStore:
             )
             return cursor.rowcount == 1
 
-    def queue_claims(self, queue: str) -> List[Any]:
-        """Live claims as ``(shard_id, worker)`` pairs, shard order."""
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT shard_id, worker FROM shards"
-                " WHERE queue = ? AND state = ? ORDER BY shard_id",
-                (queue, CLAIMED),
-            ).fetchall()
-        return [(int(row[0]), str(row[1])) for row in rows]
-
     def queue_put_result(self, queue: str, shard_id: int, result: bytes) -> None:
         """Publish a shard's result — done unconditionally wins.
 
@@ -516,15 +497,6 @@ class JobStore:
                 f" state = '{SHARD_DONE}', worker = '', result = excluded.result",
                 (queue, shard_id, sqlite3.Binary(result)),
             )
-
-    def queue_done_ids(self, queue: str) -> List[int]:
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT shard_id FROM shards WHERE queue = ? AND state = ?"
-                " ORDER BY shard_id",
-                (queue, SHARD_DONE),
-            ).fetchall()
-        return [int(row[0]) for row in rows]
 
     def queue_result(self, queue: str, shard_id: int) -> Optional[bytes]:
         with self._lock:
@@ -549,13 +521,6 @@ class JobStore:
                 " ON CONFLICT (queue) DO UPDATE SET stop = 1",
                 (queue,),
             )
-
-    def queue_stop_requested(self, queue: str) -> bool:
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT stop FROM shard_queues WHERE queue = ?", (queue,)
-            ).fetchone()
-        return bool(row[0]) if row is not None else False
 
     def queue_beat(self, queue: str, worker: str) -> int:
         """Advance a worker's heartbeat counter; the new count.

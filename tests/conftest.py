@@ -140,6 +140,15 @@ def sweep_env(tmp_path) -> SweepEnv:
     return SweepEnv(tmp_path)
 
 
+@pytest.fixture(scope="module")
+def shard_server():
+    """One live threaded shard server (SQLite-backed) per test module; its URL."""
+    from repro.service.app import background_server, create_app
+
+    with background_server(create_app(db=":memory:", background=True)) as url:
+        yield url
+
+
 def build_bench(sim: Simulator, config: MarlinConfig = None):
     """A full machine bench (harness, plant, ramps, firmware) on ``sim``.
 

@@ -20,13 +20,11 @@ The properties that make ``repro sweep --hosts N [--workers M]`` trustworthy
 
 import glob
 import os
-import socketserver
 import sys
 import tempfile
 import textwrap
 import threading
 import time
-from wsgiref.simple_server import WSGIRequestHandler, WSGIServer, make_server
 
 import pytest
 
@@ -39,7 +37,6 @@ from repro.experiments.distrib import (
     Coordinator,
     ScenarioJob,
     SessionDigest,
-    ShardResult,
     WorkShard,
     Worker,
     sanitize_worker_id,
@@ -48,7 +45,6 @@ from repro.experiments.distrib import (
 from repro.experiments.transport import (
     WIRE_FORMAT,
     InMemoryTransport,
-    WireFormatError,
     WorkDir,
 )
 from repro.experiments.transport_http import HttpTransport
@@ -151,69 +147,6 @@ class TestWorkerIds:
         assert sanitize_worker_id("") == "worker"
 
 
-class TestWorkDirProtocol:
-    def test_claim_is_exclusive(self, spec, tmp_path):
-        work = WorkDir(str(tmp_path))
-        work.enqueue(WorkShard(0, (_job(0, spec),)))
-        assert work.claim(0, "w1") is not None
-        assert work.claim(0, "w2") is None
-
-    def test_requeue_restores_pending(self, spec, tmp_path):
-        work = WorkDir(str(tmp_path))
-        work.enqueue(WorkShard(0, (_job(0, spec, name="re"),)))
-        assert work.claim(0, "dead-worker") is not None
-        assert work.pending_ids() == []
-        assert work.requeue(0, "dead-worker")
-        assert work.pending_ids() == [0]
-        # Another worker can now claim the restored shard intact.
-        reclaimed = work.claim(0, "w2")
-        assert reclaimed.shard.jobs[0].name == "re"
-
-    def test_corrupt_shard_is_dropped_not_executed(self, tmp_path):
-        work = WorkDir(str(tmp_path))
-        path = os.path.join(str(tmp_path), "pending", "shard-0001.pkl")
-        corrupt_file(path, b"torn write garbage")
-        assert work.claim(1, "w1") is None
-        assert work.claims() == []  # the poisoned claim was not kept
-
-    def test_corrupt_done_file_reads_as_absent(self, tmp_path):
-        work = WorkDir(str(tmp_path))
-        corrupt_file(
-            os.path.join(str(tmp_path), "done", "shard-0002.pkl"), b"\x80garbage"
-        )
-        assert work.done_ids() == [2]
-        assert work.load_result(2)[0] is None
-
-    def test_stop_flag(self, tmp_path):
-        work = WorkDir(str(tmp_path))
-        assert not work.stop_requested()
-        work.stop()
-        assert work.stop_requested()
-
-    def test_heartbeat_age(self, tmp_path):
-        work = WorkDir(str(tmp_path))
-        assert work.heartbeat_mtime("nobody") is None
-        work.beat("w1")
-        mtime = work.heartbeat_mtime("w1")
-        assert mtime is not None and time.time() - mtime < 5.0
-
-    def test_reset_clears_previous_sweep_state(self, spec, tmp_path):
-        work = WorkDir(str(tmp_path))
-        work.enqueue(WorkShard(0, (_job(0, spec),)))
-        claim = work.claim(0, "w1")
-        work.complete(claim, ShardResult(0, "w1", 0.1))
-        work.enqueue(WorkShard(1, (_job(1, spec),)))
-        work.claim(1, "w1")
-        work.beat("w1")
-        work.stop()
-        work.reset()
-        assert not work.stop_requested()
-        assert work.pending_ids() == []
-        assert work.claims() == []
-        assert work.done_ids() == []
-        assert work.heartbeat_mtime("w1") is None
-
-
 class TestWireFormatSkew:
     """A payload from a different protocol version must fail loud.
 
@@ -226,14 +159,6 @@ class TestWireFormatSkew:
     @staticmethod
     def _write_envelope(path, fmt, payload=None):
         corrupt_pickle(path, {"format": fmt, "payload": payload})
-
-    def test_done_version_mismatch_raises(self, tmp_path):
-        work = WorkDir(str(tmp_path))
-        self._write_envelope(
-            os.path.join(str(tmp_path), "done", "shard-0000.pkl"), WIRE_FORMAT + 1
-        )
-        with pytest.raises(WireFormatError, match="wire format"):
-            work.load_result(0)
 
     def test_collect_done_fails_loud_never_requeues(self, spec, tmp_path):
         work = WorkDir(str(tmp_path))
@@ -262,19 +187,6 @@ class TestWireFormatSkew:
         assert done == {}
         assert work.pending_ids() == [0]  # re-enqueued
 
-    def test_claim_restores_pending_on_version_mismatch(self, tmp_path):
-        work = WorkDir(str(tmp_path))
-        self._write_envelope(
-            os.path.join(str(tmp_path), "pending", "shard-0000.pkl"),
-            WIRE_FORMAT + 1,
-        )
-        with pytest.raises(WireFormatError):
-            work.claim(0, "w1")
-        # The shard went back to pending for a compatible worker; no claim
-        # was kept, and nothing was executed.
-        assert work.pending_ids() == [0]
-        assert work.claims() == []
-
     def test_worker_skips_incompatible_shard_without_executing(self, tmp_path):
         work = WorkDir(str(tmp_path))
         self._write_envelope(
@@ -285,12 +197,6 @@ class TestWireFormatSkew:
         assert worker.run() == 0
         assert work.pending_ids() == [0]
         assert work.done_ids() == []
-
-    def test_same_version_payload_roundtrips(self, spec, tmp_path):
-        work = WorkDir(str(tmp_path))
-        work.enqueue(WorkShard(0, (_job(0, spec, name="ok"),)))
-        claim = work.claim(0, "w1")
-        assert claim is not None and claim.shard.jobs[0].name == "ok"
 
 
 @pytest.mark.slow
@@ -537,34 +443,6 @@ class TestHeartbeatUnderParallelism:
         assert time.monotonic() - started < 200  # finished well before timeout
         assert result.requeues >= 1
         _assert_rows_match_local(result.rows, jobs)
-
-
-class _ThreadedWSGI(socketserver.ThreadingMixIn, WSGIServer):
-    daemon_threads = True
-
-
-class _QuietWSGI(WSGIRequestHandler):
-    def log_message(self, format, *args):  # noqa: A002 - wsgiref signature
-        pass
-
-
-@pytest.fixture(scope="module")
-def shard_server():
-    """A live threaded shard server (SQLite-backed) for HTTP fault tests."""
-    from repro.service.app import create_app
-
-    app = create_app(db=":memory:", background=True)
-    server = make_server(
-        "127.0.0.1", 0, app,
-        server_class=_ThreadedWSGI, handler_class=_QuietWSGI,
-    )
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        yield f"http://127.0.0.1:{server.server_address[1]}"
-    finally:
-        server.shutdown()
-        thread.join(timeout=5)
 
 
 class TestTransportFaultInjection:

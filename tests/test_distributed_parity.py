@@ -26,9 +26,6 @@ shift from seed to seed instead of pinning one lucky configuration.
 """
 
 import random
-import socketserver
-import threading
-from wsgiref.simple_server import WSGIRequestHandler, WSGIServer, make_server
 
 import pytest
 
@@ -90,34 +87,6 @@ def test_random_subset_parity_across_topologies(seed, sweep_env):
         assert distributed.ok == serial.ok
         assert distributed.sessions_simulated == serial.sessions_simulated
         assert distributed.payload_bytes > 0
-
-
-class _ThreadedWSGI(socketserver.ThreadingMixIn, WSGIServer):
-    daemon_threads = True
-
-
-class _QuietWSGI(WSGIRequestHandler):
-    def log_message(self, format, *args):  # noqa: A002 - wsgiref signature
-        pass
-
-
-@pytest.fixture(scope="module")
-def shard_server():
-    """A live threaded shard server for the HTTP-transport parity runs."""
-    from repro.service.app import create_app
-
-    app = create_app(db=":memory:", background=True)
-    server = make_server(
-        "127.0.0.1", 0, app,
-        server_class=_ThreadedWSGI, handler_class=_QuietWSGI,
-    )
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        yield f"http://127.0.0.1:{server.server_address[1]}"
-    finally:
-        server.shutdown()
-        thread.join(timeout=5)
 
 
 @pytest.mark.slow

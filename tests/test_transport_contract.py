@@ -32,10 +32,8 @@ ships without contract coverage.
 
 import os
 import pickle
-import socketserver
 import threading
 import time
-from wsgiref.simple_server import WSGIRequestHandler, WSGIServer, make_server
 
 import pytest
 
@@ -59,7 +57,6 @@ from repro.experiments.transport import (
 )
 from repro.experiments.transport_http import HttpTransport
 from repro.gcode.ast import GcodeProgram
-from repro.service.app import create_app
 
 
 def _skewed_wire(payload):
@@ -296,32 +293,6 @@ class TestInMemoryTransportContract(TransportContractTests):
         backend = InMemoryTransport.named(name)
         backend.reset()
         return backend
-
-
-class _ThreadedServer(socketserver.ThreadingMixIn, WSGIServer):
-    daemon_threads = True
-
-
-class _QuietHandler(WSGIRequestHandler):
-    def log_message(self, format, *args):  # noqa: A002 - wsgiref signature
-        pass
-
-
-@pytest.fixture(scope="module")
-def shard_server():
-    """One live threaded shard server for the whole HTTP contract run."""
-    app = create_app(db=":memory:", background=True)
-    server = make_server(
-        "127.0.0.1", 0, app,
-        server_class=_ThreadedServer, handler_class=_QuietHandler,
-    )
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        yield f"http://127.0.0.1:{server.server_address[1]}"
-    finally:
-        server.shutdown()
-        thread.join(timeout=5)
 
 
 class TestHttpTransportContract(TransportContractTests):
