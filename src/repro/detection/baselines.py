@@ -28,12 +28,18 @@ check. The benchmark asserts exactly that separation.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
+import numpy as np
+
 from repro.core.capture import COLUMNS, Transaction
+from repro.detection.comparator import step_matrix
 from repro.errors import DetectionError
+
+_TWOPI = 2.0 * math.pi  # random.gauss's constant
 
 
 @dataclass(frozen=True)
@@ -55,6 +61,14 @@ class SideChannelModel:
             raise DetectionError("repetitions must be >= 1")
 
 
+def _activity_matrix(transactions: Sequence[Transaction]) -> np.ndarray:
+    """|delta counts| per window (rows) and motor (columns), as float64."""
+    counts = step_matrix(transactions)
+    if not len(counts):
+        raise DetectionError("cannot profile an empty capture")
+    return np.abs(np.diff(counts, axis=0, prepend=0)).astype(np.float64)
+
+
 def activity_profiles(
     transactions: Sequence[Transaction],
 ) -> Dict[str, List[float]]:
@@ -63,16 +77,30 @@ def activity_profiles(
     This is the *ideal* observable a per-shunt power channel could hope to
     recover: |delta counts| for each motor in each transaction window.
     """
-    txns = list(transactions)
-    if not txns:
-        raise DetectionError("cannot profile an empty capture")
-    profiles: Dict[str, List[float]] = {column: [] for column in COLUMNS}
-    prev = Transaction(0, 0, 0, 0, 0)
-    for txn in txns:
-        for column in COLUMNS:
-            profiles[column].append(float(abs(txn.value(column) - prev.value(column))))
-        prev = txn
-    return profiles
+    return dict(zip(COLUMNS, _activity_matrix(transactions).T.tolist()))
+
+
+def _gauss_stream(seed: int, count: int) -> np.ndarray:
+    """The first ``count`` values of ``random.Random(seed).gauss(0.0, 1.0)``.
+
+    Bit for bit: one ``getrandbits`` call yields the Mersenne Twister words
+    in draw order, two words make each ``random()`` exactly as CPython does
+    (``((a >> 5) * 2**26 + (b >> 6)) / 2**53``), and each pair of uniforms
+    makes a Box-Muller pair. The log, cos and sin go through :mod:`math`, so
+    libm rounds them as it does for ``gauss``; the rest is IEEE arithmetic
+    numpy performs identically.
+    """
+    pairs = (count + 1) // 2
+    bits = random.Random(seed).getrandbits(128 * pairs)
+    words = np.frombuffer(bits.to_bytes(16 * pairs, "little"), dtype="<u4")
+    words = words.astype(np.uint64).reshape(-1, 2)
+    uniforms = ((words[:, 0] >> 5) << 26 | words[:, 1] >> 6) * 2.0**-53
+    angle = (uniforms[0::2] * _TWOPI).tolist()
+    radius = np.sqrt(-2.0 * np.array(list(map(math.log, (1.0 - uniforms[1::2]).tolist()))))
+    normals = np.empty((pairs, 2))
+    normals[:, 0] = np.array(list(map(math.cos, angle))) * radius
+    normals[:, 1] = np.array(list(map(math.sin, angle))) * radius
+    return normals.ravel()[:count]
 
 
 def observe(
@@ -82,24 +110,25 @@ def observe(
 
     Each window value is the average of ``model.repetitions`` independent
     noisy measurements, then quantised — the repetition-averaging workflow of
-    the power-signature detection the paper discusses.
+    the power-signature detection the paper discusses. The noise is the
+    ``random.Random(model.seed).gauss`` stream, drawn motor by motor (X, Y,
+    Z, E), window by window, repetition by repetition; the vectorised
+    arithmetic below repeats the scalar loop's operations in its order, so
+    every value is bit-identical to it.
     """
-    rng = random.Random(model.seed)
-    observed: Dict[str, List[float]] = {}
-    for column, profile in activity_profiles(transactions).items():
-        channel: List[float] = []
-        for activity in profile:
-            sigma = max(model.noise_floor, activity * model.noise_fraction)
-            total = 0.0
-            for _ in range(model.repetitions):
-                total += activity + rng.gauss(0.0, sigma)
-            mean = total / model.repetitions
-            quantised = (
-                round(mean / model.quantization_steps) * model.quantization_steps
-            )
-            channel.append(max(0.0, quantised))
-        observed[column] = channel
-    return observed
+    activity = _activity_matrix(transactions).T  # (motor, window)
+    reps = model.repetitions
+    sigma = activity * model.noise_fraction
+    sigma = np.where(sigma > model.noise_floor, sigma, model.noise_floor)
+    noise = _gauss_stream(model.seed, activity.size * reps).reshape(*activity.shape, reps)
+    readings = activity[..., None] + (0.0 + noise * sigma[..., None])
+    total = np.zeros_like(activity)
+    for rep in range(reps):  # in order: float addition does not reassociate
+        total += readings[..., rep]
+    quantised = np.rint(total / reps / model.quantization_steps) * model.quantization_steps
+    # A plain np.maximum(0.0, ...) would keep -0.0; the scalar max() gives +0.0.
+    clamped = np.where(quantised > 0.0, quantised, 0.0)
+    return dict(zip(COLUMNS, clamped.tolist()))
 
 
 @dataclass

@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
+import numpy as np
+
 from repro.core.capture import COLUMNS, PulseCapture, Transaction
 from repro.detection.report import DetectionReport
 from repro.errors import DetectionError
@@ -44,6 +46,13 @@ class Mismatch:
             f"Index: {self.index}, Column: {self.column}, "
             f"Values: {self.golden_value}, {self.suspect_value}"
         )
+
+
+def step_matrix(transactions: Sequence[Transaction]) -> np.ndarray:
+    """The transactions' X/Y/Z/E step counts as an (n, 4) int64 matrix."""
+    return np.array(
+        [(t.x, t.y, t.z, t.e) for t in transactions], dtype=np.int64
+    ).reshape(-1, len(COLUMNS))
 
 
 class CaptureComparator:
@@ -87,7 +96,12 @@ class CaptureComparator:
         golden: Sequence[Transaction],
         suspect: Sequence[Transaction],
     ) -> DetectionReport:
-        """Full comparison: per-transaction margin pass + final exact check."""
+        """Full comparison: per-transaction margin pass + final exact check.
+
+        The margin pass runs over (n, 4) step-count matrices; it reports the
+        same mismatches, in transaction-then-column order, and the same
+        floats as comparing transaction by transaction.
+        """
         golden_list = list(golden)
         suspect_list = list(suspect)
         if not golden_list:
@@ -96,16 +110,24 @@ class CaptureComparator:
             raise DetectionError("suspect capture is empty")
 
         compared = min(len(golden_list), len(suspect_list))
-        mismatches: List[Mismatch] = []
-        largest = 0.0
-        for g, s in zip(golden_list[:compared], suspect_list[:compared]):
-            for column in COLUMNS:
-                diff = self.percent_diff(g.value(column), s.value(column))
-                largest = max(largest, diff * 100.0)
-                if diff > self.margin:
-                    mismatches.append(
-                        Mismatch(g.index, column, g.value(column), s.value(column), diff * 100.0)
-                    )
+        g_counts = step_matrix(golden_list[:compared])
+        s_counts = step_matrix(suspect_list[:compared])
+        # Counts stay far below 2**53, so float64 division of the int64
+        # matrices rounds exactly like Python's int / int.
+        diffs = np.abs(s_counts - g_counts) / np.maximum(np.abs(g_counts), self.floor_steps)
+        percents = diffs * 100.0
+        largest = max(0.0, percents.max().item())
+        rows, cols = np.nonzero(diffs > self.margin)  # row-major: transaction order
+        mismatches = [
+            Mismatch(golden_list[row].index, COLUMNS[col], g, s, percent)
+            for row, col, g, s, percent in zip(
+                rows.tolist(),
+                cols.tolist(),
+                g_counts[rows, cols].tolist(),
+                s_counts[rows, cols].tolist(),
+                percents[rows, cols].tolist(),
+            )
+        ]
 
         final_mismatches: List[Mismatch] = []
         if self.final_check:

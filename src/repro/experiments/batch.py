@@ -343,7 +343,7 @@ def failure_summary(spec: SessionSpec, error: BaseException) -> SessionSummary:
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 """Environment variable that makes the shared cache persistent on disk."""
 
-_CACHE_FORMAT = 4
+_CACHE_FORMAT = 5
 """On-disk entry format version; bumped when SessionSpec or SessionSummary
 changes shape.
 
@@ -352,8 +352,10 @@ Format history: 1 = golden-print-only cache; 2 = SessionSummary grew
 sessions became cacheable; 3 = SessionSummary grew ``error`` (failure-
 isolated batches) and stopped serializing the ``_capture`` memo; 4 =
 SessionSpec lost its host-protocol and wire-replay flags, so every content
-key changed. A mismatched version is a miss, so stale entries degrade to
-re-simulation, never to a wrong result.
+key changed; 5 = the deposition trace (``PartTrace``) pickles as five typed
+columns instead of one ``TraceSample`` object per sample. A mismatched
+version is a miss, so stale entries degrade to re-simulation, never to a
+wrong result.
 """
 
 

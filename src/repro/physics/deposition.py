@@ -11,8 +11,11 @@ paper's photographs of parts on graph paper.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from array import array
+from dataclasses import astuple, dataclass, fields
+from typing import Iterable, List, Optional, Tuple
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -40,19 +43,6 @@ class LayerStats:
     _moment_x: float = 0.0
     _moment_y: float = 0.0
 
-    def add_segment(self, x0: float, y0: float, x1: float, y1: float, de_mm: float) -> None:
-        length = math.hypot(x1 - x0, y1 - y0)
-        self.path_mm += length
-        self.extruded_mm += de_mm
-        mid_x, mid_y = (x0 + x1) / 2, (y0 + y1) / 2
-        self._moment_x += mid_x * de_mm
-        self._moment_y += mid_y * de_mm
-        for x, y in ((x0, y0), (x1, y1)):
-            self.min_x = min(self.min_x, x)
-            self.max_x = max(self.max_x, x)
-            self.min_y = min(self.min_y, y)
-            self.max_y = max(self.max_y, y)
-
     @property
     def centroid(self) -> Tuple[float, float]:
         """Extrusion-weighted centroid of the deposited material."""
@@ -66,19 +56,60 @@ class LayerStats:
 
 
 class PartTrace:
-    """The sampled history of one print, with layer-level post-processing."""
+    """The sampled history of one print, with layer-level post-processing.
+
+    Samples are stored as five flat typed columns — ``time_ns`` (int64) and
+    ``x_mm``/``y_mm``/``z_mm``/``e_mm`` (float64) — so a trace pickles as five
+    buffers and the scorers walk plain lists instead of sample objects.
+    """
+
+    COLUMNS = tuple(field.name for field in fields(TraceSample))
+    """Column names, in :class:`TraceSample` field order."""
 
     def __init__(self, layer_quantum_mm: float = 0.02) -> None:
-        self.samples: List[TraceSample] = []
+        self.time_ns = array("q")
+        self.x_mm = array("d")
+        self.y_mm = array("d")
+        self.z_mm = array("d")
+        self.e_mm = array("d")
         self.layer_quantum_mm = layer_quantum_mm
         self._layers: Optional[List[LayerStats]] = None
 
+    def columns(self) -> Tuple[array, ...]:
+        """The storage columns, in :attr:`COLUMNS` order."""
+        return (self.time_ns, self.x_mm, self.y_mm, self.z_mm, self.e_mm)
+
     def add_sample(self, sample: TraceSample) -> None:
-        self.samples.append(sample)
+        for column, value in zip(self.columns(), astuple(sample)):
+            column.append(value)
         self._layers = None  # invalidate cache
 
+    def extend(
+        self,
+        time_ns: Iterable[int],
+        x_mm: Iterable[float],
+        y_mm: Iterable[float],
+        z_mm: Iterable[float],
+        e_mm: Iterable[float],
+    ) -> None:
+        """Append equal-length runs of samples, one iterable per column."""
+        for column, values in zip(self.columns(), (time_ns, x_mm, y_mm, z_mm, e_mm)):
+            column.extend(values)
+        self._layers = None
+
+    @property
+    def samples(self) -> List[TraceSample]:
+        """The samples as objects: a fresh list derived from the columns."""
+        return list(map(TraceSample, *(column.tolist() for column in self.columns())))
+
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.time_ns)
+
+    def __getstate__(self):
+        """Pickle the columns only; the layer memo is rebuilt on demand."""
+        state = dict(self.__dict__)
+        state["_layers"] = None
+        return state
 
     # ------------------------------------------------------------------
     # Totals
@@ -90,9 +121,9 @@ class PartTrace:
         Retract/prime cycles cancel out, so this is the material actually
         consumed — the quantity the Flaw3D reduction Trojan starves.
         """
-        if len(self.samples) < 2:
+        if len(self.e_mm) < 2:
             return 0.0
-        return max(0.0, self.samples[-1].e_mm - self.samples[0].e_mm)
+        return max(0.0, self.e_mm[-1] - self.e_mm[0])
 
     @property
     def gross_extruded_mm(self) -> float:
@@ -101,18 +132,19 @@ class PartTrace:
         Differs from :attr:`total_extruded_mm` by the retraction traffic —
         useful for spotting retraction-tampering Trojans (T3).
         """
+        e = self.e_mm.tolist()
         total = 0.0
-        for prev, cur in zip(self.samples, self.samples[1:]):
-            delta = cur.e_mm - prev.e_mm
+        for prev, cur in zip(e, e[1:]):
+            delta = cur - prev
             if delta > 0:
                 total += delta
         return total
 
     @property
     def duration_ns(self) -> int:
-        if len(self.samples) < 2:
+        if len(self.time_ns) < 2:
             return 0
-        return self.samples[-1].time_ns - self.samples[0].time_ns
+        return self.time_ns[-1] - self.time_ns[0]
 
     # ------------------------------------------------------------------
     # Layers
@@ -124,20 +156,53 @@ class PartTrace:
         return self._layers
 
     def _build_layers(self) -> List[LayerStats]:
-        by_z: Dict[int, LayerStats] = {}
-        for prev, cur in zip(self.samples, self.samples[1:]):
-            de = cur.e_mm - prev.e_mm
-            if de <= 0:
-                continue
-            if abs(cur.z_mm - prev.z_mm) > 1e-9:
-                continue  # z changed mid-segment: not a planar deposit
-            key = round(cur.z_mm / self.layer_quantum_mm)
-            stats = by_z.get(key)
-            if stats is None:
-                stats = LayerStats(z_mm=key * self.layer_quantum_mm)
-                by_z[key] = stats
-            stats.add_segment(prev.x_mm, prev.y_mm, cur.x_mm, cur.y_mm, de)
-        return [by_z[key] for key in sorted(by_z)]
+        """Group the planar extruding segments into layers, by rounded z.
+
+        Vectorised, yet every float equals what a loop adding one segment at
+        a time, in time order, computes: the sums accumulate sequentially (a
+        cumulative sum, never numpy's pairwise sum), and lengths, minima and
+        maxima go through ``math.hypot`` and the builtin ``min``/``max``,
+        which keep the first of equal values.
+        """
+        if len(self.e_mm) < 2:
+            return []
+        x, y, z, e = (np.array(column) for column in self.columns()[1:])
+        de = e[1:] - e[:-1]
+        # The negated skip test, so that NaN comparisons skip nothing.
+        planar = ~((de <= 0) | (np.abs(z[1:] - z[:-1]) > 1e-9))
+        end = np.flatnonzero(planar) + 1  # segments run from end - 1 to end
+        keys = np.rint(z[end] / self.layer_quantum_mm).astype(np.int64)
+        order = np.argsort(keys, kind="stable")  # by layer, time order within
+        end, keys = end[order], keys[order]
+        if not len(keys):
+            return []
+        start = end - 1
+        x0, x1, y0, y1, de = x[start], x[end], y[start], y[end], de[start]
+        lengths = list(map(math.hypot, (x1 - x0).tolist(), (y1 - y0).tolist()))
+        addends = np.array([lengths, de, (x0 + x1) / 2 * de, (y0 + y1) / 2 * de])
+        xs = np.stack([x0, x1], axis=1)
+        ys = np.stack([y0, y1], axis=1)
+        cuts = (np.flatnonzero(np.diff(keys)) + 1).tolist()
+        layers = []
+        for lo, hi in zip([0] + cuts, cuts + [len(keys)]):
+            # A running total started at 0.0 is never -0.0, hence the + 0.0.
+            totals = addends[:, lo:hi].cumsum(axis=1)[:, -1] + 0.0
+            path, extruded, moment_x, moment_y = totals.tolist()
+            x_ends, y_ends = xs[lo:hi].ravel().tolist(), ys[lo:hi].ravel().tolist()
+            layers.append(
+                LayerStats(
+                    z_mm=int(keys[lo]) * self.layer_quantum_mm,
+                    extruded_mm=extruded,
+                    path_mm=path,
+                    min_x=min(x_ends),
+                    max_x=max(x_ends),
+                    min_y=min(y_ends),
+                    max_y=max(y_ends),
+                    _moment_x=moment_x,
+                    _moment_y=moment_y,
+                )
+            )
+        return layers
 
     def z_spacings(self) -> List[float]:
         """Gaps between consecutive deposited layers (delamination metric)."""

@@ -16,13 +16,13 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import PlantError
-from repro.physics.deposition import PartTrace, TraceSample
+from repro.physics.deposition import PartTrace
 from repro.physics.kinematics import AxisMechanics
 from repro.physics.thermal import ThermalNode
 from repro.sim.kernel import Simulator
 from repro.sim.time import MS
 
-# The axes a deposition sample records, in TraceSample field order.
+# The axes a deposition sample records, in PartTrace column order.
 _SAMPLED_AXES = ("X", "Y", "Z", "E")
 
 
@@ -187,9 +187,9 @@ class PrinterPlant:
             return
         columns = [self.axes[name].take_grid(self.sim.now) for name in _SAMPLED_AXES]
         period = self._sample_period_ns
-        for k, (x_mm, y_mm, z_mm, e_mm) in enumerate(zip(*columns)):
-            self._trace.add_sample(TraceSample(first_ns + k * period, x_mm, y_mm, z_mm, e_mm))
-        self._next_sample_ns = first_ns + len(columns[0]) * period
+        next_ns = first_ns + len(columns[0]) * period
+        self._trace.extend(range(first_ns, next_ns, period), *columns)
+        self._next_sample_ns = next_ns
 
     # ------------------------------------------------------------------
     # Outcome summary

@@ -66,6 +66,19 @@ class TestDiskPersistence:
         assert restored.final_counts == summary.final_counts
         assert restored.status is summary.status
 
+    def test_trace_columns_round_trip_compactly(self, tiny_program, tmp_path):
+        spec = _spec(tiny_program)
+        writer = GoldenPrintCache(directory=str(tmp_path))
+        live = BatchRunner(workers=1, cache=writer).run([spec])[0].trace
+        restored = GoldenPrintCache(directory=str(tmp_path)).get(spec.content_key()).trace
+        assert len(live) > 1000
+        for name, before, after in zip(live.COLUMNS, live.columns(), restored.columns()):
+            assert (name, after.typecode, after) == (name, before.typecode, before)
+        # Five typed columns pickle as 40 bytes a sample; one TraceSample
+        # object per sample takes about 63 on this print.
+        pickled = pickle.dumps(live, protocol=pickle.HIGHEST_PROTOCOL)
+        assert len(pickled) < 48 * len(live)
+
     def test_second_batch_rereads_zero_sessions(self, tiny_program, tmp_path):
         spec = _spec(tiny_program)
         BatchRunner(workers=1, cache=str(tmp_path)).run([spec])
