@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass
 from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -60,11 +60,8 @@ class PartTrace:
 
     Samples are stored as five flat typed columns — ``time_ns`` (int64) and
     ``x_mm``/``y_mm``/``z_mm``/``e_mm`` (float64) — so a trace pickles as five
-    buffers and the scorers walk plain lists instead of sample objects.
+    buffers and the scorers read arrays, not sample objects.
     """
-
-    COLUMNS = tuple(field.name for field in fields(TraceSample))
-    """Column names, in :class:`TraceSample` field order."""
 
     def __init__(self, layer_quantum_mm: float = 0.02) -> None:
         self.time_ns = array("q")
@@ -76,7 +73,7 @@ class PartTrace:
         self._layers: Optional[List[LayerStats]] = None
 
     def columns(self) -> Tuple[array, ...]:
-        """The storage columns, in :attr:`COLUMNS` order."""
+        """The storage columns, in :class:`TraceSample` field order."""
         return (self.time_ns, self.x_mm, self.y_mm, self.z_mm, self.e_mm)
 
     def add_sample(self, sample: TraceSample) -> None:

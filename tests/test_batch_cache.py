@@ -72,8 +72,8 @@ class TestDiskPersistence:
         live = BatchRunner(workers=1, cache=writer).run([spec])[0].trace
         restored = GoldenPrintCache(directory=str(tmp_path)).get(spec.content_key()).trace
         assert len(live) > 1000
-        for name, before, after in zip(live.COLUMNS, live.columns(), restored.columns()):
-            assert (name, after.typecode, after) == (name, before.typecode, before)
+        for before, after in zip(live.columns(), restored.columns(), strict=True):
+            assert (after.typecode, after) == (before.typecode, before)
         # Five typed columns pickle as 40 bytes a sample; one TraceSample
         # object per sample takes about 63 on this print.
         pickled = pickle.dumps(live, protocol=pickle.HIGHEST_PROTOCOL)
