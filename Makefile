@@ -9,7 +9,7 @@ export PYTHONPATH
 # the repo root (see .gitignore).
 REPRO_CI_CACHE_DIR ?= .repro-session-cache
 
-.PHONY: test lint lint-det lint-tests bench sweep smoke smoke-parity speed-gate ci serve
+.PHONY: test lint lint-det lint-tests bench sweep smoke smoke-parity speed-gate examples ci serve
 
 test:
 	python -m pytest -x -q
@@ -85,8 +85,17 @@ smoke-parity:
 speed-gate:
 	python benchmarks/bench_session_speed.py --check
 
+# Every user-facing example script, run to completion; the first non-zero
+# exit fails the target. logic_analyzer.py is the path to the Tracer, the
+# one recorder of signal timing (peak frequency, narrowest pulse).
+examples:
+	@for script in examples/*.py; do \
+		echo "== $$script"; \
+		python "$$script" > /dev/null || exit 1; \
+	done
+
 # Mirrors .github/workflows/ci.yml step for step so CI and dev runs stay in
 # lockstep: lint -> determinism/contract lint (src + test profile) ->
 # tier-1 tests -> incremental smoke sweep -> verdict parity smoke
-# (distributed, service, work stealing) -> fast-path speed gate.
-ci: lint lint-det lint-tests test smoke smoke-parity speed-gate
+# (distributed, service, work stealing) -> fast-path speed gate -> examples.
+ci: lint lint-det lint-tests test smoke smoke-parity speed-gate examples

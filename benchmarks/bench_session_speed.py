@@ -26,9 +26,11 @@ from repro.experiments.batch import execute_spec
 from repro.experiments.scenario import compile_scenario, grid_scenarios
 
 # Fast-path smoke-grid floor, in sessions/sec (cold cache, single process).
-# Measured ~12.9 sessions/s and 19,021 events (median of three runs; ~10.1
-# sessions/s and 37,074 events while the plant's deposition sampler still
-# took kernel events, interleaved on the same host) on a 2-vCPU Xeon
+# Measured ~11.3 sessions/s fast and ~1.5 precise, 19,021 and 321,315
+# events (median of three runs, interleaved on the same host with the
+# version whose STEP wires still kept their own pulse-gap statistics:
+# ~8.7 fast, ~1.44 precise; earlier, ~12.9 fast on a faster day and ~10.1
+# while the deposition sampler still took kernel events) on a 2-vCPU Xeon
 # container whose speed drifts by up to 2x; the floor sits far below that
 # so only a real regression (not runner noise) trips it.
 FLOOR_SESSIONS_PER_S = 1.2

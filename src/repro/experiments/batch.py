@@ -44,6 +44,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Iterable,
     List,
     Mapping,
     Optional,
@@ -63,6 +64,10 @@ from repro.gcode.writer import write_line
 from repro.physics.deposition import PartTrace
 from repro.sim.trace import Tracer
 from repro.util import atomic_pickle
+
+
+# id(program) -> (program, sha256 of its rendered lines); one key pass only.
+ProgramDigests = Dict[int, Tuple[GcodeProgram, Any]]
 
 
 @dataclass(frozen=True)
@@ -102,7 +107,7 @@ class SessionSpec:
         uart_factor = max(1.0, 100.0 / max(1, self.uart_period_ms))
         return len(self.program) * uart_factor + self.grace_s * 40.0
 
-    def content_key(self) -> str:
+    def content_key(self, program_digests: Optional[ProgramDigests] = None) -> str:
         """Stable digest of everything that determines the session outcome.
 
         ``label`` and ``cacheable`` are presentation/policy, not physics, so
@@ -111,15 +116,28 @@ class SessionSpec:
 
         Memoized per instance (the fields are frozen, so the digest cannot
         change): sweeps hash each spec's whole program once, not once per
-        layer that asks for the key.
+        layer that asks for the key. Only the hex string is memoized — a
+        ``hashlib`` object does not pickle, and specs travel to workers.
+
+        ``program_digests`` is one key pass's program table (see
+        :func:`content_keys`): specs sharing one program object continue
+        from a copy of its digest instead of rendering it again. The key is
+        the same with or without it.
         """
         memo = self.__dict__.get("_content_key")
         if memo is not None:
             return memo
-        digest = hashlib.sha256()
-        for line in map(write_line, self.program):
-            digest.update(line.encode())
-            digest.update(b"\n")
+        if program_digests is None:
+            program_digests = {}
+        entry = program_digests.get(id(self.program))
+        if entry is None:
+            rendered = hashlib.sha256()
+            for line in map(write_line, self.program):
+                rendered.update(line.encode())
+                rendered.update(b"\n")
+            # The program rides along so its id cannot be reused mid-pass.
+            entry = program_digests[id(self.program)] = (self.program, rendered)
+        digest = entry[1].copy()
         digest.update(repr(self.config).encode())
         params = sorted((str(k), repr(v)) for k, v in self.trojan_params.items())
         digest.update(
@@ -142,6 +160,18 @@ class SessionSpec:
         key = digest.hexdigest()
         object.__setattr__(self, "_content_key", key)
         return key
+
+
+def content_keys(specs: Iterable[SessionSpec]) -> List[str]:
+    """Every spec's :meth:`~SessionSpec.content_key`, in order.
+
+    Each distinct program object is rendered and hashed once for the whole
+    pass (a sweep's scenarios share a handful of sliced parts). The program
+    table lives only for this call: a later pass, like a fresh ``repro
+    sweep`` process, starts from nothing but the specs' own memos.
+    """
+    program_digests: ProgramDigests = {}
+    return [spec.content_key(program_digests) for spec in specs]
 
 
 @dataclass
@@ -572,7 +602,7 @@ class BatchRunner:
         path. A raising ``progress`` callback is deliberately not shielded
         — it is the caller's own code.
         """
-        keys = [spec.content_key() for spec in specs]
+        keys = content_keys(specs)
         results: Dict[str, SessionSummary] = {}
 
         # A key is cache-eligible if ANY spec carrying it opts in, so the

@@ -44,6 +44,7 @@ from repro.experiments.batch import (
     CacheOption,
     SessionSpec,
     SessionSummary,
+    content_keys,
     resolve_cache,
     run_sessions,
 )
@@ -706,7 +707,7 @@ def run_sweep(
     before = resolved.stats() if resolved is not None else {}
     pairs = [compile_scenario(scenario, fast_path=fast_path) for scenario in scenarios]
     specs = [spec for pair in pairs for spec in pair]
-    unique_keys = {spec.content_key() for spec in specs}
+    unique_keys = set(content_keys(specs))
     # repro: lint-ignore[DET003] sweep wall-clock reporting (wall_clock_s column), never verdict content
     started = time.perf_counter()
     host_stats: List[Dict[str, Any]] = []

@@ -38,7 +38,7 @@ import time
 from typing import Any, Dict, Iterator, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
-from repro.experiments.batch import CacheOption, resolve_cache
+from repro.experiments.batch import CacheOption, content_keys, resolve_cache
 from repro.experiments.report import summary_stats, sweep_rows
 from repro.experiments.scenario import (
     ScenarioSpec,
@@ -61,15 +61,20 @@ def submission_key(
     equal keys therefore produce byte-identical verdict CSVs, which is
     what licenses answering the second one from the store.
     """
+    specs = [
+        spec
+        for scenario in scenarios
+        for spec in compile_scenario(scenario, fast_path=fast_path)
+    ]
+    keys = content_keys(specs)
     digest = hashlib.sha256()
-    for scenario in scenarios:
-        golden, suspect = compile_scenario(scenario, fast_path=fast_path)
+    for scenario, golden_key, suspect_key in zip(scenarios, keys[0::2], keys[1::2]):
         digest.update(
             repr(
                 (
                     scenario.name,
-                    golden.content_key(),
-                    suspect.content_key(),
+                    golden_key,
+                    suspect_key,
                     scenario.detectors,
                     scenario.margin,
                 )
@@ -157,7 +162,7 @@ class JobManager:
                 for scenario in submission.scenarios
             ]
             sessions_total = len(
-                {spec.content_key() for pair in pairs for spec in pair}
+                set(content_keys(spec for pair in pairs for spec in pair))
             )
             self.store.mark_running(job_id, sessions_total)
             effective_workers = (

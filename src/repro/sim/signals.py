@@ -99,7 +99,9 @@ class StepWire(Wire):
 
     Subscribers receive ``callback(wire, time_ns, width_ns)``. Pulse width is
     carried as metadata (the paper measured a 1 µs minimum width; the overhead
-    analysis uses it).
+    analysis uses it). The wire itself keeps only ``pulse_count`` and
+    ``last_pulse_ns``; pulse intervals, peak frequency and narrowest width
+    are measured by a :class:`repro.sim.trace.Tracer` watching the wire.
     """
 
     DEFAULT_WIDTH_NS = 2_000  # Marlin's ~2 us minimum step pulse on AVR.
@@ -111,8 +113,6 @@ class StepWire(Wire):
         self._ready_checks: List[Optional[Callable[[int], bool]]] = []
         self.pulse_count = 0
         self.last_pulse_ns: Optional[int] = None
-        self.min_interval_ns: Optional[int] = None
-        self.min_width_ns: Optional[int] = None
 
     def on_pulse(
         self,
@@ -128,7 +128,9 @@ class StepWire(Wire):
         whole run of pulses with their explicit timestamps — plus an
         optional ``ready(count)`` predicate consulted before every batch.
         Dispatching ``batch`` must be observably identical to dispatching
-        ``callback`` once per timestamp whenever ``ready`` returned True.
+        ``callback`` once per timestamp whenever ``ready`` returned True —
+        the subscriber's own state (a Trojan's counters, a Tracer's event
+        list) must end the same either way.
         """
         self._subscribers.append(callback)
         self._batch_handlers.append(batch)
@@ -153,12 +155,6 @@ class StepWire(Wire):
         if width_ns <= 0:
             raise SimulationError(f"pulse width must be positive, got {width_ns}ns")
         now = self.sim.now
-        if self.last_pulse_ns is not None:
-            interval = now - self.last_pulse_ns
-            if interval > 0 and (self.min_interval_ns is None or interval < self.min_interval_ns):
-                self.min_interval_ns = interval
-        if self.min_width_ns is None or width_ns < self.min_width_ns:
-            self.min_width_ns = width_ns
         self.last_pulse_ns = now
         self.pulse_count += 1
         for callback in list(self._subscribers):
@@ -167,48 +163,22 @@ class StepWire(Wire):
     def pulse_batch(self, times_ns: np.ndarray, width_ns: int = DEFAULT_WIDTH_NS) -> None:
         """Emit a run of pulses at explicit ``times_ns`` (nondecreasing int64s).
 
-        Only valid after :meth:`batch_ready` approved the same count: stats
-        update exactly as ``count`` sequential :meth:`pulse` calls would,
-        then each subscriber's batch handler runs once, in subscription
-        order. Timestamps are passed explicitly because the kernel clock
-        sits at the *chunk* event's time, not at each pulse's.
+        Only valid after :meth:`batch_ready` approved the same count:
+        ``pulse_count`` and ``last_pulse_ns`` end exactly as after ``count``
+        sequential :meth:`pulse` calls, then each subscriber's batch handler
+        runs once, in subscription order. Timestamps are passed explicitly
+        because the kernel clock sits at the *chunk* event's time, not at
+        each pulse's.
         """
         count = len(times_ns)
         if count == 0:
             return
         if width_ns <= 0:
             raise SimulationError(f"pulse width must be positive, got {width_ns}ns")
-        first = int(times_ns[0])
-        last = int(times_ns[-1])
-        min_gap = self.min_interval_ns
-        prev = self.last_pulse_ns
-        if prev is not None:
-            gap = first - prev
-            if gap > 0 and (min_gap is None or gap < min_gap):
-                min_gap = gap
-        if count > 1:
-            # Slice subtraction, not np.diff: same gaps without the Python-level
-            # wrapper, which costs more than the subtraction on short chunks.
-            diffs = times_ns[1:] - times_ns[:-1]
-            positive = diffs[diffs > 0]
-            if positive.size:
-                batch_min = int(positive.min())
-                if min_gap is None or batch_min < min_gap:
-                    min_gap = batch_min
-        self.min_interval_ns = min_gap
-        if self.min_width_ns is None or width_ns < self.min_width_ns:
-            self.min_width_ns = width_ns
-        self.last_pulse_ns = last
+        self.last_pulse_ns = int(times_ns[-1])
         self.pulse_count += count
         for handler in list(self._batch_handlers):
             handler(self, times_ns, width_ns)
-
-    @property
-    def max_frequency_hz(self) -> Optional[float]:
-        """Highest observed pulse rate, from the minimum pulse interval."""
-        if self.min_interval_ns is None or self.min_interval_ns == 0:
-            return None
-        return 1e9 / self.min_interval_ns
 
 
 class PwmWire(Wire):

@@ -1,5 +1,8 @@
 """BatchRunner tests: spec keying, dedup, cache, failure isolation, parity."""
 
+import hashlib
+import importlib
+import os
 import pickle
 
 import pytest
@@ -7,13 +10,19 @@ import pytest
 from repro.experiments.batch import (
     BatchRunner,
     GoldenPrintCache,
+    SessionSpec,
+    content_keys,
     execute_spec,
     failure_summary,
     run_sessions,
     shared_cache,
     summarize_result,
 )
+from repro.experiments.scenario import compile_scenario, grid_scenarios
 from repro.firmware.marlin import PrinterStatus
+from repro.gcode.writer import write_line
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.fixture
@@ -44,6 +53,68 @@ class TestSessionSpecKeys:
 
     def test_key_changes_with_program(self, spec, standard_program):
         assert spec().content_key() != spec(program=standard_program).content_key()
+
+
+def _reference_key(spec: SessionSpec) -> str:
+    """The per-spec hashing loop: render and hash the whole program every time."""
+    digest = hashlib.sha256()
+    for line in map(write_line, spec.program):
+        digest.update(line.encode())
+        digest.update(b"\n")
+    digest.update(repr(spec.config).encode())
+    params = sorted((str(k), repr(v)) for k, v in spec.trojan_params.items())
+    digest.update(
+        repr(
+            (
+                spec.noise_sigma,
+                spec.noise_seed,
+                spec.trojan_id,
+                params,
+                spec.trojan_seed,
+                spec.uart_period_ms,
+                spec.grace_s,
+                spec.timeout_s,
+                spec.trace_signals,
+                spec.route_all_through_fpga,
+                spec.fast_path,
+            )
+        ).encode()
+    )
+    return digest.hexdigest()
+
+
+def _swept_specs(monkeypatch):
+    """Every spec of the smoke and full grids and perfbench's two scenario sets."""
+    monkeypatch.syspath_prepend(os.path.join(REPO_ROOT, "perfbench"))
+    workloads = importlib.import_module("workloads")
+    scenarios = (
+        grid_scenarios("smoke")
+        + grid_scenarios("full")
+        + workloads.mix_scenarios(0)
+        + workloads.steal_scenarios(0)
+    )
+    return [spec for scenario in scenarios for spec in compile_scenario(scenario)]
+
+
+class TestContentKeyPass:
+    def test_pass_matches_per_spec_hashing(self, monkeypatch):
+        specs = _swept_specs(monkeypatch)
+        reference = [_reference_key(spec) for spec in specs]
+        programs = {id(spec.program) for spec in specs}
+        assert len(programs) < len(specs)  # the pass has programs to share
+        assert content_keys(specs) == reference
+        # The memo is the hex string alone, so keyed specs still pickle
+        # (to workers and shards) and carry their key across.
+        for spec, key in zip(specs, reference):
+            assert pickle.loads(pickle.dumps(spec)).content_key() == key
+
+    def test_specs_sharing_a_program_share_one_table_entry(self, spec):
+        first, second = spec(noise_seed=1), spec(noise_seed=2)
+        table = {}
+        keys = [first.content_key(table), second.content_key(table)]
+        assert list(table) == [id(first.program)]
+        assert keys == [_reference_key(first), _reference_key(second)]
+        assert spec(noise_seed=2).content_key() == keys[1]
 
 
 class TestSummaryFidelity:

@@ -7,8 +7,9 @@ Layers of pinning:
   :meth:`StepperExecutor._step_times_array` must produce *exactly* the same
   integers, including the nondecreasing-clamp ties. This is the equality the
   whole fast path rests on.
-- **Wire batch protocol** — ``pulse_batch`` must update wire statistics
-  exactly as the equivalent sequence of ``pulse`` calls would, and any
+- **Wire batch protocol** — ``pulse_batch`` must leave the wire's counters
+  and a watching Tracer's ``(time_ns, width)`` events exactly as the
+  equivalent sequence of ``pulse`` calls would, and any
   subscriber that is not batch-capable (or whose ``ready`` check declines)
   must veto bulk delivery.
 - **Trojan batch handlers** — for seeded random pulse runs, T2's and T3's
@@ -45,6 +46,7 @@ from repro.firmware.stepper import StepperExecutor
 from repro.sim.kernel import Simulator
 from repro.sim.signals import StepWire
 from repro.sim.time import MS, S, US
+from repro.sim.trace import Tracer
 
 
 # ----------------------------------------------------------------------
@@ -202,21 +204,25 @@ class TestWireBatchProtocol:
         def replayed(batched):
             sim = Simulator()
             wire = StepWire(sim, "X_STEP")
-            wire.on_pulse(lambda w, t, wd: None, batch=lambda w, ts, wd: None)
+            tracer = Tracer()
+            tracer.watch_one(wire)
             for t in history:
                 sim.run(until_ns=t)
                 wire.pulse(history_width)
             if batched:
+                assert wire.batch_ready(len(batch))
                 wire.pulse_batch(np.asarray(batch, dtype=np.int64), batch_width)
             else:
                 for t in batch:
                     sim.run(until_ns=t)
                     wire.pulse(batch_width)
-            return wire
+            events = [(e.time_ns, e.value) for e in tracer.trace("X_STEP").events]
+            return wire, events
 
-        sequential, batched = replayed(False), replayed(True)
-        for attr in ("pulse_count", "last_pulse_ns", "min_interval_ns", "min_width_ns"):
+        (sequential, seq_events), (batched, batch_events) = replayed(False), replayed(True)
+        for attr in ("pulse_count", "last_pulse_ns"):
             assert getattr(batched, attr) == getattr(sequential, attr), attr
+        assert batch_events == seq_events
 
     def test_pulse_batch_delivers_exact_timestamps(self, sim):
         wire = StepWire(sim, "X_STEP")
@@ -303,7 +309,7 @@ def _trojan_replay(trojan, runs, batched: bool, active: bool = True):
     }
     return {
         "downstream": seen,
-        "wire": (out.pulse_count, out.last_pulse_ns, out.min_interval_ns),
+        "wire": (out.pulse_count, out.last_pulse_ns),
         "trojan": state,
         "board": (
             board.events_intercepted,

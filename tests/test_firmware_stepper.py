@@ -7,6 +7,7 @@ from repro.firmware.config import MarlinConfig
 from repro.firmware.planner import MotionPlanner
 from repro.firmware.stepper import StepperExecutor
 from repro.sim.time import S
+from repro.sim.trace import Tracer
 
 
 def _bench(sim, **config_kwargs):
@@ -64,13 +65,13 @@ class TestBlockExecution:
 
     def test_cruise_step_rate_matches_feedrate(self, sim):
         harness, planner, stepper = _bench(sim)
+        tracer = Tracer()
+        tracer.watch_one(harness.upstream("X_STEP"))
         planner.add_move({"X": 10_000}, 100.0)  # long cruise at 100mm/s
         stepper.wake()
         sim.run(until_ns=60 * S)
         # 100 mm/s * 100 steps/mm = 10 kHz -> min interval 100 us
-        assert harness.upstream("X_STEP").min_interval_ns == pytest.approx(
-            100_000, rel=0.05
-        )
+        assert tracer.trace("X_STEP.up").min_interval_ns == pytest.approx(100_000, rel=0.05)
 
     def test_multi_axis_bresenham_exact(self, sim):
         harness, planner, stepper = _bench(sim)

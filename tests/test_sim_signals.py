@@ -1,9 +1,11 @@
 """Unit tests for the wire abstractions."""
 
+import numpy as np
 import pytest
 
 from repro.errors import SimulationError
 from repro.sim.signals import AnalogWire, DigitalWire, Edge, PwmWire, StepWire
+from repro.sim.trace import Tracer
 
 
 class TestDigitalWire:
@@ -89,29 +91,47 @@ class TestStepWire:
 
     def test_min_interval_tracking(self, sim):
         wire = StepWire(sim, "s")
+        tracer = Tracer()
+        tracer.watch_one(wire)
         for at in (0, 100, 150, 400):
             sim.schedule_at(at, wire.pulse)
         sim.run()
-        assert wire.min_interval_ns == 50
+        assert tracer.trace("s").min_interval_ns == 50
+
+    def test_min_interval_tracking_through_pulse_batch(self, sim):
+        wire = StepWire(sim, "s")
+        tracer = Tracer()
+        tracer.watch_one(wire)
+        assert wire.batch_ready(4)
+        wire.pulse_batch(np.asarray([0, 100, 150, 400], dtype=np.int64))
+        trace = tracer.trace("s")
+        assert trace.min_interval_ns == 50
+        assert trace.min_pulse_width_ns == StepWire.DEFAULT_WIDTH_NS
 
     def test_max_frequency_from_min_interval(self, sim):
         wire = StepWire(sim, "s")
+        tracer = Tracer()
+        tracer.watch_one(wire)
         sim.schedule_at(0, wire.pulse)
         sim.schedule_at(1000, wire.pulse)  # 1 us apart -> 1 MHz
         sim.run()
-        assert wire.max_frequency_hz == pytest.approx(1e6)
+        assert tracer.trace("s").max_frequency_hz == pytest.approx(1e6)
 
     def test_max_frequency_none_for_single_pulse(self, sim):
         wire = StepWire(sim, "s")
+        tracer = Tracer()
+        tracer.watch_one(wire)
         wire.pulse()
-        assert wire.max_frequency_hz is None
+        assert tracer.trace("s").max_frequency_hz is None
 
     def test_min_width_tracking(self, sim):
         wire = StepWire(sim, "s")
+        tracer = Tracer()
+        tracer.watch_one(wire)
         wire.pulse(width_ns=3000)
         wire.pulse(width_ns=1000)
         wire.pulse(width_ns=2000)
-        assert wire.min_width_ns == 1000
+        assert tracer.trace("s").min_pulse_width_ns == 1000
 
 
 class TestPwmWire:
