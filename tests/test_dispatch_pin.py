@@ -4,7 +4,8 @@ Parity tests elsewhere compare two paths *within* one commit (fast vs
 precise, serial vs distributed). This one compares against a committed
 ground truth: for every unique session of the ``smoke`` grid it pins the
 status, the kernel's ``events_dispatched``, the final simulated time, the
-per-axis step totals, a digest of every captured UART transaction and a
+per-axis step totals, the hotend and bed peak temperatures (as ``repr``,
+so every bit counts), a digest of every captured UART transaction and a
 digest of every deposition-trace sample (the plant's 20 ms head/extruder
 positions). A refactor of the kernel, the stepper or the wire fan-out
 that moves a single scheduling decision changes at least one of these
@@ -60,6 +61,8 @@ def observed() -> Dict[str, Dict]:
             "events_dispatched": summary.events_dispatched,
             "end_time_ns": summary.end_time_ns,
             "final_counts": dict(sorted(summary.final_counts.items())),
+            "hotend_peak_c": repr(summary.hotend_peak_c),
+            "bed_peak_c": repr(summary.bed_peak_c),
             "transactions": len(summary.transactions),
             "transactions_sha256": _transactions_sha256(summary.transactions),
             "trace_samples": len(summary.trace.samples),

@@ -452,6 +452,11 @@ def _observables(result):
             (s.time_ns, s.x_mm, s.y_mm, s.z_mm, s.e_mm)
             for s in result.plant.trace.samples
         ],
+        "thermal": [
+            (repr(node.peak_temp_c), list(node.damage_events))
+            for node in (result.plant.hotend, result.plant.bed)
+        ],
+        "fan_profile": list(result.plant.fan_profile),
         "mux": (
             result.board.events_intercepted,
             result.board.events_dropped,
