@@ -49,14 +49,22 @@ class PulseCapture:
     """Accumulates the transaction stream of one print."""
 
     def __init__(self, bus: Optional[UartBus] = None, start_index: int = 1) -> None:
-        self.transactions: List[Transaction] = []
+        self._transactions: List[Transaction] = []
         self._next_index = start_index
+        self._bus = bus
         if bus is not None:
-            bus.on_frame(self._on_frame)
+            bus.on_frame(self._on_frame, deferred=True)
+
+    @property
+    def transactions(self) -> List[Transaction]:
+        """Every transaction captured, those due on the bus by now included."""
+        if self._bus is not None:
+            self._bus.pull()
+        return self._transactions
 
     def _on_frame(self, time_ns: int, frame: bytes) -> None:
         x, y, z, e = unpack_step_counts(frame)
-        self.transactions.append(
+        self._transactions.append(
             Transaction(self._next_index, x, y, z, e, time_ns=time_ns)
         )
         self._next_index += 1

@@ -15,10 +15,15 @@ command stream itself.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Optional
+
+import numpy as np
 
 from repro.electronics.harness import SignalHarness
 from repro.electronics.pins import AXES
+
+
+RunListener = Callable[[str, int, Optional[np.ndarray], int], None]
 
 
 class AxisTracker:
@@ -30,6 +35,7 @@ class AxisTracker:
         self.first_step_ns: int = -1
         self._dir_wires = {axis: harness.upstream(f"{axis}_DIR") for axis in AXES}
         self._first_step_listeners: List[Callable[[int], None]] = []
+        self._on_run: Optional[RunListener] = None
         for axis in AXES:
             harness.upstream(f"{axis}_STEP").on_pulse(
                 self._make_handler(axis),
@@ -43,7 +49,11 @@ class AxisTracker:
         def handle(_wire, time_ns: int, _width_ns: int) -> None:
             if not self.armed:
                 return
-            self.counts[axis] += 1 if dir_wire.value else -1
+            step = 1 if dir_wire.value else -1
+            self.counts[axis] += step
+            on_run = self._on_run
+            if on_run is not None:
+                on_run(axis, time_ns, None, step)
             if self.first_step_ns < 0:
                 self.first_step_ns = time_ns
                 for listener in list(self._first_step_listeners):
@@ -63,7 +73,11 @@ class AxisTracker:
             if not self.armed:
                 return
             count = len(times_ns)
-            self.counts[axis] += count if dir_wire.value else -count
+            signed = count if dir_wire.value else -count
+            self.counts[axis] += signed
+            on_run = self._on_run
+            if on_run is not None:
+                on_run(axis, int(times_ns[-1]), times_ns, signed)
 
         return handle
 
@@ -73,6 +87,16 @@ class AxisTracker:
         self.counts = dict.fromkeys(AXES, 0)
         self.first_step_ns = -1
         self.armed = True
+
+    def on_run(self, callback: "RunListener") -> None:
+        """Report every counted run: ``callback(axis, last_ns, times_ns, signed)``.
+
+        ``times_ns`` is the run's (unmodified) pulse-time array, or None for
+        a single pulse at ``last_ns``; ``signed`` is the change it made to
+        the axis count. Runs arrive after their counts, in the order the
+        wires emit them, so each axis's runs are in time order.
+        """
+        self._on_run = callback
 
     def on_first_step(self, callback: Callable[[int], None]) -> None:
         """Subscribe to the first STEP edge after arming (UART sync point)."""

@@ -7,18 +7,34 @@ is found" — the synchronisation the paper credits with significantly
 increased accuracy. Both behaviours are reproduced: the exporter arms on the
 homing detector, begins its period at the first tracked step edge, and packs
 each snapshot into a 16-byte frame on the UART bus.
+
+On the fast path no kernel event takes a snapshot while every bus listener
+is deferred (a :class:`~repro.core.capture.PulseCapture`): the exporter
+keeps the runs of pulses the tracker counts and rebuilds each snapshot at
+its grid instant ``t`` from the pulses before ``t`` (``searchsorted``, as
+the deposition sample grid does), sending the frames due when runs arrive,
+when a listener pulls and at :meth:`UartExporter.stop`. Bulk step emission
+then runs through export instants. A live listener (a
+:class:`~repro.detection.realtime.StreamingDetector`, which may kill the
+print mid-run) brings back one event per instant, from the next one on.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from collections import deque
+from typing import Deque, Dict, Optional, Tuple
+
+import numpy as np
 
 from repro.core.modules.axis_tracker import AxisTracker
 from repro.core.modules.homing_detect import HomingDetector
+from repro.electronics.pins import AXES
 from repro.electronics.uart import UartBus, pack_step_counts
 from repro.errors import OfframpsError
 from repro.sim.kernel import PeriodicTask, Simulator
 from repro.sim.time import MS
+
+_Run = Tuple[int, Optional[np.ndarray], int]  # (last_ns, times_ns or None, signed count)
 
 DEFAULT_PERIOD_MS = 100
 """The paper's 0.1 s transaction period."""
@@ -34,6 +50,7 @@ class UartExporter:
         homing: HomingDetector,
         bus: Optional[UartBus] = None,
         period_ms: int = DEFAULT_PERIOD_MS,
+        fast_path: bool = False,
     ) -> None:
         if period_ms <= 0:
             raise OfframpsError(f"UART period must be positive, got {period_ms}ms")
@@ -44,6 +61,15 @@ class UartExporter:
         self.transactions_sent = 0
         self._task: Optional[PeriodicTask] = None
         self._stopped = False
+        # Fast path: the next export instant not yet sent (None: no stream),
+        # each axis's count before the oldest kept run, and the kept runs.
+        self.fast_path = fast_path
+        self._next_ns: Optional[int] = None
+        self._base: Dict[str, int] = dict.fromkeys(AXES, 0)
+        self._runs: Dict[str, Deque[_Run]] = {axis: deque() for axis in AXES}
+        if fast_path:
+            tracker.on_run(self._on_run)
+            self.bus.defer_sends(self._pull, self._go_live)
         homing.on_homed(self._on_homed)
 
     def _on_homed(self, time_ns: int) -> None:
@@ -51,15 +77,28 @@ class UartExporter:
         # hardware the counters reset on the following FPGA clock edge, so the
         # in-flight pulse must not be counted. Arm one tick later.
         def arm() -> None:
+            if self._next_ns is not None:
+                # A re-homing mid-stream: the snapshot due now was taken a
+                # period before this arm was scheduled, so it precedes it.
+                self._send_through(self.sim.now)
+                self._base = dict.fromkeys(AXES, 0)
+                for runs in self._runs.values():
+                    runs.clear()
             self.tracker.arm(self.sim.now)
             self.tracker.on_first_step(self._on_first_step)
 
         self.sim.schedule(1, arm)
 
     def _on_first_step(self, _time_ns: int) -> None:
-        if self._task is not None or self._stopped:
+        if self._task is not None or self._next_ns is not None or self._stopped:
             return
-        self._task = self.sim.every(self.period_ms * MS, self._export)
+        if not self.fast_path:
+            self._task = self.sim.every(self.period_ms * MS, self._export)
+            return
+        self._base = self.tracker.snapshot()
+        self._next_ns = self.sim.now + self.period_ms * MS
+        if self.bus.live:
+            self._go_live()
 
     def _export(self) -> None:
         counts = self.tracker.snapshot()
@@ -67,9 +106,66 @@ class UartExporter:
         self.bus.send(self.sim.now, frame)
         self.transactions_sent += 1
 
+    # ------------------------------------------------------------------
+    # Fast path: snapshots rebuilt from the tracker's runs
+    # ------------------------------------------------------------------
+    def _on_run(self, axis: str, last_ns: int, times_ns: Optional[np.ndarray], signed: int) -> None:
+        if self._next_ns is None:
+            return
+        self._runs[axis].append((last_ns, times_ns, signed))
+        # Every pulse before now has reached the tracker: the snapshots due
+        # before now are final, and sending them drops the runs they consumed.
+        if self._next_ns < self.sim.now:
+            self._send_through(self.sim.now - 1)
+
+    def _pull(self) -> None:
+        if self._next_ns is not None and self._task is None:
+            self._send_through(self.sim.passed_ns)
+
+    def _go_live(self) -> None:
+        if self._next_ns is None or self._task is not None:
+            return
+        self._send_through(self.sim.passed_ns)
+        self._task = self.sim.every(
+            self.period_ms * MS,
+            self._send_due,
+            start_delay_ns=self._next_ns - self.sim.now,
+        )
+
+    def _send_due(self) -> None:
+        self._send_through(self.sim.now)
+
+    def _send_through(self, through_ns: int) -> None:
+        """Send every snapshot due at or before ``through_ns``, in order."""
+        period = self.period_ms * MS
+        while self._next_ns <= through_ns:
+            at = self._next_ns
+            counts = [self._count_before(axis, at) for axis in AXES]
+            self.bus.send(at, pack_step_counts(*counts))
+            self.transactions_sent += 1
+            self._next_ns = at + period
+
+    def _count_before(self, axis: str, at_ns: int) -> int:
+        """The axis count over every pulse before ``at_ns``; absorbs spent runs."""
+        runs = self._runs[axis]
+        base = self._base[axis]
+        while runs and runs[0][0] < at_ns:
+            base += runs.popleft()[2]
+        self._base[axis] = base
+        if runs:
+            _last, times, signed = runs[0]
+            if times is not None and times[0] < at_ns:
+                before = int(times.searchsorted(at_ns))
+                return base + (before if signed > 0 else -before)
+        return base
+
     def stop(self) -> None:
         """End the export stream (end-of-print housekeeping)."""
+        self._pull()
         self._stopped = True
+        self._next_ns = None
+        for runs in self._runs.values():
+            runs.clear()
         if self._task is not None:
             self._task.cancel()
             self._task = None

@@ -138,6 +138,8 @@ class SignalPath:
             raise OfframpsError(
                 f"signal {self.spec.name} already intercepted by {self._interceptor_owner!r}"
             )
+        if self.spec.kind is SignalKind.ANALOG:
+            self.upstream.watch()  # a served sensor goes back to being driven
         self._interceptor = handler
         self._interceptor_owner = owner
         self._interceptor_batch = batch

@@ -9,7 +9,7 @@ OFFRAMPS Trojans change lands here.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Optional
 
 from repro.electronics.drivers import A4988Driver
 from repro.electronics.endstop import Endstop
@@ -18,14 +18,24 @@ from repro.electronics.mosfet import PowerMosfet
 from repro.electronics.pins import AXES, ENDSTOP_SIGNALS
 from repro.electronics.thermistor import ThermistorChannel
 from repro.physics.printer import PrinterPlant
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import PeriodicTask, Simulator
 from repro.sim.time import MS
 
-_THERMISTOR_REFRESH_MS = 50
+_REFRESH_NS = 50 * MS  # thermistor channel refresh period
 
 
 class RampsBoard:
-    """The printer-side control board, fully wired to a plant."""
+    """The printer-side control board, fully wired to a plant.
+
+    The thermistor channels refresh every 50 ms. By default a periodic
+    kernel event drives both wires. With ``fast_path`` the channels serve
+    their signals from the plant nodes' sample grids instead
+    (:meth:`ThermistorChannel.serve`): no event, the same value at every
+    read and the same ``peak_temp_c``. The event comes back, from the next
+    refresh instant, as soon as anything else watches ``T0_HOTEND`` or
+    ``T1_BED``: an ``on_change`` subscriber such as a
+    :class:`~repro.sim.trace.Tracer`, a drive, or an FPGA interceptor.
+    """
 
     def __init__(
         self,
@@ -33,6 +43,7 @@ class RampsBoard:
         harness: SignalHarness,
         plant: PrinterPlant,
         microsteps: int = 16,
+        fast_path: bool = False,
     ) -> None:
         self.sim = sim
         self.harness = harness
@@ -98,9 +109,17 @@ class RampsBoard:
             "bed": ThermistorChannel("T1_BED", harness.upstream("T1_BED"), plant.bed_temp_c),
         }
         self._refresh_thermistors()
-        self._thermistor_task = sim.every(
-            _THERMISTOR_REFRESH_MS * MS, self._refresh_thermistors
-        )
+        self._thermistor_task: Optional[PeriodicTask] = None
+        self._served = ()
+        if fast_path:
+            self._served = (
+                (self.thermistors["hotend"], plant.hotend),
+                (self.thermistors["bed"], plant.bed),
+            )
+            for channel, node in self._served:
+                channel.serve(harness.path(channel.name), node, _REFRESH_NS, self._watched)
+        else:
+            self._thermistor_task = sim.every(_REFRESH_NS, self._refresh_thermistors)
 
     @staticmethod
     def _make_endstop_updater(endstop: Endstop):
@@ -124,6 +143,23 @@ class RampsBoard:
         for channel in self.thermistors.values():
             channel.refresh()
 
+    def _unserve(self) -> Optional[int]:
+        """Pin served thermistor wires; returns the next refresh instant."""
+        next_ns = None
+        for channel, node in self._served:
+            next_ns = ThermistorChannel.unserve(self.harness.path(channel.name), node)
+        self._served = ()
+        return next_ns
+
+    def _watched(self) -> None:
+        # Something now sees the thermistor wires: refresh them by event
+        # from the next grid instant on, as the precise path always does.
+        next_ns = self._unserve()
+        if next_ns is not None:
+            self._thermistor_task = self.sim.every(
+                _REFRESH_NS, self._refresh_thermistors, start_delay_ns=next_ns - self.sim.now
+            )
+
     # ------------------------------------------------------------------
     def total_missed_steps(self) -> int:
         """Pulses that arrived while drivers were disabled (T8's footprint)."""
@@ -131,4 +167,6 @@ class RampsBoard:
 
     def shutdown(self) -> None:
         """Stop periodic activity (end of simulation housekeeping)."""
-        self._thermistor_task.cancel()
+        self._unserve()
+        if self._thermistor_task is not None:
+            self._thermistor_task.cancel()

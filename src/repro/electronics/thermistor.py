@@ -11,9 +11,14 @@ matching how Marlin's thermistor tables work in practice.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.errors import ElectronicsError
 from repro.sim.signals import AnalogWire
+
+if TYPE_CHECKING:
+    from repro.electronics.harness import SignalPath
+    from repro.physics.thermal import ThermalNode
 
 _R_NOMINAL_OHM = 100_000.0  # thermistor resistance at 25 C
 _T_NOMINAL_K = 298.15
@@ -70,7 +75,10 @@ class ThermistorChannel:
     """Binds a temperature source to an analog harness wire.
 
     :meth:`refresh` samples the source and drives the wire; the firmware side
-    reads the wire and quantises with :func:`voltage_to_adc`.
+    reads the wire and quantises with :func:`voltage_to_adc`. Instead of
+    being refreshed by a periodic event, a channel can :meth:`serve` its
+    signal from a thermal node's sample grid: every read then returns the
+    voltage of the latest refresh instant, computed on demand.
     """
 
     def __init__(self, name: str, wire: AnalogWire, read_temp_c) -> None:
@@ -83,3 +91,26 @@ class ThermistorChannel:
         temp_c = self._read_temp_c()
         self.wire.drive(divider_voltage(temp_c))
         return temp_c
+
+    def serve(
+        self, path: "SignalPath", node: "ThermalNode", period_ns: int, on_watch: Callable[[], Any]
+    ) -> None:
+        """Answer both wires of ``path`` from ``node``'s grid, refreshed now.
+
+        ``on_watch`` runs when anything starts watching either wire (see
+        :meth:`AnalogWire.serve`); it must call :meth:`unserve`.
+        """
+        node.start_grid(period_ns)
+
+        def sample() -> float:
+            return divider_voltage(node.grid_temperature_c())
+
+        path.upstream.serve(sample, on_watch)
+        path.downstream.serve(sample, on_watch)
+
+    @staticmethod
+    def unserve(path: "SignalPath", node: "ThermalNode") -> Optional[int]:
+        """Pin both wires at the latest refresh; returns the next refresh instant."""
+        path.upstream.unserve()
+        path.downstream.unserve()
+        return node.stop_grid()

@@ -40,16 +40,47 @@ class UartBus:
     Models the FPGA→host serial link. Bandwidth is not enforced here; the
     paper's identified limitation (no high-speed interface) is studied in the
     UART-period ablation instead.
+
+    A sender may hold its frames back while every listener is ``deferred``
+    (one that reads what it received only later, such as a capture): it
+    registers with :meth:`defer_sends`, and a deferred listener calls
+    :meth:`pull` before reading. The first live listener makes the sender
+    send each frame at its own time again.
     """
 
     def __init__(self, name: str = "uart") -> None:
         self.name = name
         self._listeners: List[Callable[[int, bytes], None]] = []
         self.frames_sent = 0
+        self.live = False
+        self._pulls: List[Callable[[], None]] = []
+        self._go_live: List[Callable[[], None]] = []
 
-    def on_frame(self, callback: Callable[[int, bytes], None]) -> None:
-        """Subscribe ``callback(time_ns, frame_bytes)`` to transmissions."""
+    def on_frame(self, callback: Callable[[int, bytes], None], *, deferred: bool = False) -> None:
+        """Subscribe ``callback(time_ns, frame_bytes)`` to transmissions.
+
+        ``deferred=True`` declares a listener that calls :meth:`pull` before
+        it reads anything it has received; any other listener is live.
+        """
         self._listeners.append(callback)
+        if not deferred and not self.live:
+            self.live = True
+            for go_live in list(self._go_live):
+                go_live()
+
+    def defer_sends(self, pull: Callable[[], None], go_live: Callable[[], None]) -> None:
+        """Register a sender that may hold frames back while no listener is live.
+
+        ``pull()`` must send every frame due by now; ``go_live()`` runs when
+        the first live listener subscribes.
+        """
+        self._pulls.append(pull)
+        self._go_live.append(go_live)
+
+    def pull(self) -> None:
+        """Have every deferring sender send the frames due by now."""
+        for pull in self._pulls:
+            pull()
 
     def send(self, time_ns: int, frame: bytes) -> None:
         """Transmit one frame to all listeners."""

@@ -98,7 +98,7 @@ class PrintSession:
         self.sim = Simulator()
         self.harness = SignalHarness(self.sim)
         self.plant = PrinterPlant(self.sim, plant_profile)
-        self.ramps = RampsBoard(self.sim, self.harness, self.plant)
+        self.ramps = RampsBoard(self.sim, self.harness, self.plant, fast_path=fast_path)
         self.firmware = MarlinFirmware(
             self.sim, config or MarlinConfig(), self.harness, fast_path=fast_path
         )
@@ -115,6 +115,7 @@ class PrintSession:
             self.homing_detector,
             bus=self.uart_bus,
             period_ms=uart_period_ms,
+            fast_path=fast_path,
         )
         self.capture = PulseCapture(self.uart_bus)
 

@@ -97,6 +97,7 @@ class MarlinFirmware:
         self._pending: Optional[Command] = None  # command stalled on backpressure
         self._waiting = False
         self._wait_task: Optional[PeriodicTask] = None
+        self._heater_task: Optional[PeriodicTask] = None
         self._powered = False
         self.commands_processed = 0
         self._allow_cold_extrusion = config.allow_cold_extrusion
@@ -137,16 +138,33 @@ class MarlinFirmware:
     # Power and lifecycle
     # ------------------------------------------------------------------
     def power_on(self) -> None:
-        """Start the periodic controllers (thermistor ticks, PID loops)."""
+        """Start the periodic controllers (thermistor ticks, PID loops).
+
+        On the fast path one task ticks the hotend then the bed, the order
+        in which their two tasks, armed back to back, fire on the precise
+        path.
+        """
         if not self._powered:
-            self.hotend.start()
-            self.bed.start()
+            if self.stepper.fast_path:
+                self._heater_task = self.sim.every(
+                    self.config.temp_control_period_ms * MS, self._tick_heaters
+                )
+            else:
+                self.hotend.start()
+                self.bed.start()
             self._powered = True
+
+    def _tick_heaters(self) -> None:
+        self.hotend.tick()
+        self.bed.tick()
 
     def power_off(self) -> None:
         """Stop periodic controllers so the event queue can drain."""
         self.hotend.stop()
         self.bed.stop()
+        if self._heater_task is not None:
+            self._heater_task.cancel()
+            self._heater_task = None
         if self._wait_task is not None:
             self._wait_task.cancel()
             self._wait_task = None

@@ -23,9 +23,13 @@ and that step dispatches precisely. Chunks never span a pending kernel
 event — counting the FPGA's propagation delay on an intercepted STEP wire —
 never outrun ``Simulator.run``'s window, and the final step of a block is
 always precise, so aborts and block-done chaining keep their exact
-per-event semantics. The plant's deposition samples take no kernel event
-(each axis fills its sample grid from the step times), so chunks run
-through sample instants. Homing moves emit runs the same way, and the step
+per-event semantics. Three periodic observers take no kernel event on the
+fast path, so chunks run through their instants: the plant's deposition
+samples (each axis fills its sample grid from the step times), the
+thermistor refresh (a read computes the latest refresh from the thermal
+closed form) and the UART export (each snapshot is rebuilt from the
+tracker's runs). The heater ticks remain, as one event for both heaters
+every 100 ms. Homing moves emit runs the same way, and the step
 that trips the endstop is always precise, so the stop condition is first
 seen at the same event. The byte-identical-verdict contract is preserved by
 construction, not by luck.
@@ -49,11 +53,12 @@ from repro.sim.time import MS, US
 _DIR_SETTLE_NS = 2 * US  # DIR→STEP setup time honoured at block start
 
 # Latency ceiling for one emitted chunk of steps. Chunks already stop at the
-# next pending kernel event; in a full session the shortest periodic one is
-# the 50 ms thermistor refresh, so this cap matches it and rarely binds
-# there. It bounds how far a single bulk event can run ahead of anything a
-# test or module might schedule next when the queue is otherwise quiet.
-FAST_CHUNK_MAX_NS = 50 * MS
+# next pending kernel event; in a fast session the shortest periodic one is
+# the 100 ms heater tick (the thermistor refresh and the UART export take no
+# event there), so this cap matches it and rarely binds. It bounds how far a
+# single bulk event can run ahead of anything a test or module might
+# schedule next when the queue is otherwise quiet.
+FAST_CHUNK_MAX_NS = 100 * MS
 
 
 class StepperExecutor:

@@ -77,7 +77,7 @@ class HeaterController:
         """Begin the periodic control loop."""
         if self._task is None or self._task.cancelled:
             self._task = self.sim.every(
-                self.config.temp_control_period_ms * MS, self._tick
+                self.config.temp_control_period_ms * MS, self.tick
             )
 
     def stop(self) -> None:
@@ -112,7 +112,8 @@ class HeaterController:
         self._watch_deadline_ns = self.sim.now + int(self.config.watch_temp_period_s * 1e9)
 
     # ------------------------------------------------------------------
-    def _tick(self) -> None:
+    def tick(self) -> None:
+        """One control period: sample, check protections, drive the gate."""
         if self._killed:
             return
         temp = self.read_temp_c()

@@ -11,6 +11,13 @@ temperature follows the exact exponential solution, so the model is both fast
 Damage crossings (the destructive outcome of Trojan T7) are detected by
 solving for the crossing time analytically and scheduling an event there, so
 no overshoot is missed between samples.
+
+A node can also be read on a fixed sample grid without a kernel event per
+sample (:meth:`ThermalNode.start_grid`): the RAMPS thermistor refresh on the
+fast path. Between two power changes the trajectory is monotone, so only the
+first grid instant of a cooling segment and the last of any segment can
+raise ``peak_temp_c``; those, and the instants actually read, are the only
+ones evaluated, and the peak ends bit-identical to sampling every instant.
 """
 
 from __future__ import annotations
@@ -58,8 +65,15 @@ class ThermalNode:
         self._t0_ns = sim.now
         self._temp0_c = float(initial_c) if initial_c is not None else self.ambient_c
         self._power_w = 0.0
-        self.peak_temp_c = self._temp0_c
+        self._peak_c = self._temp0_c
         self._damage_handle: Optional[EventHandle] = None
+        # Sample grid (None: not sampling): the next instant not yet taken,
+        # the period, the temperature at the latest instant taken, and
+        # whether the current segment has had its first instant taken.
+        self._grid_next_ns: Optional[int] = None
+        self._grid_period_ns = 0
+        self._grid_temp_c = self._temp0_c
+        self._grid_segment_open = False
 
     # ------------------------------------------------------------------
     @property
@@ -76,6 +90,12 @@ class ThermalNode:
         """Temperature the node converges to under the current power."""
         return self.ambient_c + self._power_w / self.loss
 
+    @property
+    def peak_temp_c(self) -> float:
+        """Highest temperature read so far, grid instants already past included."""
+        self._take_grid(self.sim.passed_ns)
+        return self._peak_c
+
     def temperature_c(self, time_ns: Optional[int] = None) -> float:
         """Exact temperature at ``time_ns`` (default: now)."""
         t_ns = self.sim.now if time_ns is None else time_ns
@@ -84,8 +104,8 @@ class ThermalNode:
         dt_s = (t_ns - self._t0_ns) / 1e9
         t_inf = self.steady_state_c
         temp = t_inf + (self._temp0_c - t_inf) * math.exp(-dt_s / self.tau_s)
-        if temp > self.peak_temp_c:
-            self.peak_temp_c = temp
+        if temp > self._peak_c:
+            self._peak_c = temp
         return temp
 
     def set_power(self, power_w: float, time_ns: Optional[int] = None) -> None:
@@ -93,10 +113,57 @@ class ThermalNode:
         if power_w < 0:
             raise PlantError(f"thermal node {self.name}: negative power {power_w}W")
         t_ns = self.sim.now if time_ns is None else time_ns
+        # Grid instants already past belong to the old segment; one at
+        # exactly t_ns inside an event is taken after this change.
+        self._take_grid(min(t_ns, self.sim.passed_ns))
         self._temp0_c = self.temperature_c(t_ns)
         self._t0_ns = t_ns
         self._power_w = float(power_w)
+        self._grid_segment_open = False
         self._schedule_damage_check()
+
+    # ------------------------------------------------------------------
+    # Sample grid
+    # ------------------------------------------------------------------
+    def start_grid(self, period_ns: int) -> None:
+        """Sample the temperature now and every ``period_ns`` after, lazily.
+
+        No kernel event takes a sample: :meth:`grid_temperature_c` returns
+        the temperature at the latest instant at or before
+        ``sim.passed_ns``, and a power change or a ``peak_temp_c`` read
+        first takes every instant already past. Each instant reads as if a
+        periodic task armed by this call had read :meth:`temperature_c`
+        there, ``peak_temp_c`` included.
+        """
+        self._grid_period_ns = int(period_ns)
+        self._grid_next_ns = self.sim.now
+        self._grid_segment_open = False
+        self._take_grid(self.sim.now)
+
+    def stop_grid(self) -> Optional[int]:
+        """Take every instant already past and stop; returns the next instant."""
+        self._take_grid(self.sim.passed_ns)
+        next_ns, self._grid_next_ns = self._grid_next_ns, None
+        return next_ns
+
+    def grid_temperature_c(self) -> float:
+        """Temperature at the latest grid instant already past."""
+        self._take_grid(self.sim.passed_ns)
+        return self._grid_temp_c
+
+    def _take_grid(self, through_ns: int) -> None:
+        first = self._grid_next_ns
+        if first is None or through_ns < first:
+            return
+        period = self._grid_period_ns
+        last = first + (through_ns - first) // period * period
+        if not self._grid_segment_open:
+            self._grid_segment_open = True
+            if self._temp0_c > self.steady_state_c:
+                # A cooling segment peaks at its first instant.
+                self.temperature_c(first)
+        self._grid_temp_c = self.temperature_c(last)
+        self._grid_next_ns = last + period
 
     # ------------------------------------------------------------------
     # Damage-threshold crossing

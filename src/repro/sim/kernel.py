@@ -119,6 +119,21 @@ class Simulator:
         """
         return self._run_until_ns
 
+    @property
+    def passed_ns(self) -> int:
+        """Latest instant whose events have all fired.
+
+        ``now`` between :meth:`run` calls (a run that drained its window
+        fired everything due at its ``until_ns``), ``now - 1`` while an event
+        is dispatching. Periodic observers kept off the heap
+        (:meth:`~repro.physics.thermal.ThermalNode.start_grid`, the fast
+        UART export) count a grid instant as past once it is at or before
+        this: inside an event at exactly a grid instant the virtual tick
+        is still to come, as a task armed one period earlier fires after
+        one armed two periods earlier.
+        """
+        return self._now - 1 if self._running else self._now
+
     def next_event_time(self) -> Optional[int]:
         """Timestamp of the next runnable event, or ``None`` if idle.
 

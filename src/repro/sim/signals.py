@@ -211,21 +211,56 @@ class PwmWire(Wire):
 
 
 class AnalogWire(Wire):
-    """A continuously-valued signal (thermistor divider voltage)."""
+    """A continuously-valued signal (thermistor divider voltage).
+
+    A periodically refreshed source may :meth:`serve` the wire instead of
+    driving it: reads then compute the value on demand, and no refresh
+    needs a kernel event while nothing could see one.
+    """
 
     def __init__(self, sim: Simulator, name: str, initial: float = 0.0) -> None:
         super().__init__(sim, name)
         self._value = float(initial)
         self._subscribers: List[Callable[["AnalogWire", float, int], Any]] = []
+        self._sampler: Optional[Callable[[], float]] = None
+        self._on_watch: Optional[Callable[[], Any]] = None
 
     @property
     def value(self) -> float:
-        return self._value
+        sampler = self._sampler
+        return self._value if sampler is None else sampler()
+
+    def serve(self, sampler: Callable[[], float], on_watch: Callable[[], Any]) -> None:
+        """Answer :attr:`value` with ``sampler()`` until the wire is watched.
+
+        Watching is a new :meth:`on_change` subscriber, a :meth:`drive` or
+        a :meth:`watch` call (an interceptor taking the signal). Each first
+        calls ``on_watch()``, which must :meth:`unserve` the wire and go back
+        to driving it; the subscriber is added, or the drive applied, after.
+        """
+        self._sampler = sampler
+        self._on_watch = on_watch
+
+    def unserve(self) -> None:
+        """Stop serving: keep the sampler's current value, silently."""
+        sampler = self._sampler
+        if sampler is not None:
+            self._value = float(sampler())
+            self._sampler = None
+            self._on_watch = None
+
+    def watch(self) -> None:
+        """Declare an observer outside :meth:`on_change`; ends serving."""
+        on_watch = self._on_watch
+        if on_watch is not None:
+            on_watch()
 
     def on_change(self, callback: Callable[["AnalogWire", float, int], Any]) -> None:
+        self.watch()
         self._subscribers.append(callback)
 
     def drive(self, value: float) -> None:
+        self.watch()
         value = float(value)
         if value == self._value:
             return

@@ -1,5 +1,8 @@
 """Tests for the FPGA monitoring modules."""
 
+import random
+
+import numpy as np
 import pytest
 
 from repro.core.capture import PulseCapture
@@ -11,6 +14,7 @@ from repro.core.modules.uart_export import UartExporter
 from repro.electronics.harness import SignalHarness
 from repro.electronics.uart import UartBus, unpack_step_counts
 from repro.errors import OfframpsError
+from repro.sim.kernel import Simulator
 from repro.sim.time import MS, S
 
 
@@ -257,3 +261,140 @@ class TestUartExporter:
         sim.run(until_ns=int(1.25 * S))
         assert frames and all(len(frame) == 16 for frame in frames)
         assert unpack_step_counts(frames[0])[0] == tracker.counts["X"]
+
+
+class TestRebuiltUartSnapshots:
+    """The fast exporter's rebuilt snapshots against the per-event exporter.
+
+    Both benches see the same STEP traffic after homing. The reference
+    dispatches one kernel event per pulse and exports by periodic event;
+    the fast bench emits each run of pulses from one event at its first
+    pulse (as a stepper chunk does) and takes no export event at all.
+    Every event schedules the next one less than a period ahead, as the
+    stepper does, so a pulse exactly on an export instant comes after
+    that export on both benches.
+    """
+
+    @staticmethod
+    def _runs(seed):
+        """``(axis, direction, times_ns)`` runs, time-ordered per axis."""
+        rng = random.Random(seed)
+        # The first step starts the export grid (whole 100 ms instants from
+        # here) and must come alone: the tracker vetoes batches until then.
+        runs, t = [("X", 1, np.array([1 * S], dtype=np.int64))], 1 * S + 1
+        for _ in range(120):
+            axis = rng.choice(["X", "Y", "Z", "E"])
+            count = rng.choice([1, 1, 2, rng.randint(3, 400)])
+            if rng.random() < 0.3:
+                t = (t // (100 * MS) + rng.randint(1, 3)) * 100 * MS  # on an export instant
+            else:
+                t += rng.randint(1, 250 * MS)
+            spacing = rng.choice([1, 1_000, 150_000, 2 * MS])
+            times = t + spacing * np.arange(count, dtype=np.int64)
+            if rng.random() < 0.2:
+                # pull one pulse onto a later export instant inside the run
+                k = rng.randrange(count)
+                times[k:] += -int(times[k]) % (100 * MS)
+            runs.append((axis, rng.choice([0, 1]), times))
+            t = int(times[-1]) + 1
+        return runs
+
+    @staticmethod
+    def _bench(sim, fast_path):
+        harness = SignalHarness(sim)
+        detector = HomingDetector(harness)
+        tracker = AxisTracker(harness)
+        bus = UartBus()
+        exporter = UartExporter(sim, tracker, detector, bus=bus, fast_path=fast_path)
+        capture = PulseCapture(bus)
+        return harness, exporter, capture
+
+    @staticmethod
+    def _chain(sim, actions):
+        """Run ``(time_ns, fn)`` actions in order, each scheduled by the one
+        before (or by a filler event) less than one period ahead."""
+        actions = sorted(actions, key=lambda a: a[0])
+
+        def step(index):
+            actions[index][1]()
+            if index + 1 < len(actions):
+                hop(actions[index + 1][0], index + 1)
+
+        def hop(at, index):
+            if at - sim.now >= 50 * MS:
+                sim.schedule(40 * MS, hop, at, index)
+            else:
+                sim.schedule_at(at, step, index)
+
+        sim.schedule_at(actions[0][0], step, 0)
+
+    def _play(self, runs, fast_path, stop_at=None):
+        sim = Simulator()
+        harness, exporter, capture = self._bench(sim, fast_path)
+        _home_sequence(sim, harness)
+        actions = []
+        for axis, direction, times in runs:
+            dir_wire = harness.upstream(f"{axis}_DIR")
+            step = harness.upstream(f"{axis}_STEP")
+            if fast_path:
+
+                def emit(d=dir_wire, w=step, d_value=direction, ts=times):
+                    d.drive(d_value)
+                    if len(ts) == 1:
+                        w.pulse()
+                    else:
+                        w.pulse_batch(ts)
+
+                actions.append((int(times[0]), emit))
+            else:
+                actions.append((int(times[0]), lambda d=dir_wire, v=direction: d.drive(v)))
+                actions.extend((int(t), step.pulse) for t in times)
+        self._chain(sim, actions)
+        end = int(runs[-1][2][-1]) + 300 * MS
+        if stop_at is not None:
+            sim.run(until_ns=stop_at)
+            exporter.stop()
+        sim.run(until_ns=end)
+        exporter.stop()
+        rows = [(t.index, t.x, t.y, t.z, t.e, t.time_ns) for t in capture.transactions]
+        return rows, exporter.transactions_sent, exporter.bus.frames_sent, exporter
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_snapshots_match_the_per_event_exporter(self, seed):
+        runs = self._runs(seed)
+        on_instant = sum(
+            int(np.count_nonzero(times % (100 * MS) == 0)) for _axis, _d, times in runs
+        )
+        assert on_instant > 5  # pulses really land on export instants
+        assert any(times[-1] - times[0] > 200 * MS for _axis, _d, times in runs)
+        reference = self._play(runs, fast_path=False)[:3]
+        rebuilt = self._play(runs, fast_path=True)[:3]
+        assert rebuilt == reference
+        assert len(reference[0]) > 50
+
+    def test_stop_mid_period(self):
+        runs = self._runs(7)
+        stop_at = int(runs[40][2][-1]) + 37 * MS  # between two export instants
+        reference = self._play(runs, fast_path=False, stop_at=stop_at)[:3]
+        rebuilt = self._play(runs, fast_path=True, stop_at=stop_at)[:3]
+        assert rebuilt == reference
+        assert reference[0][-1][-1] < stop_at
+
+    def test_consumed_runs_are_dropped(self):
+        runs = self._runs(3)
+        *_, exporter = self._play(runs[:100], fast_path=True)
+        # stop() sent everything; while streaming, each run arriving after
+        # an export instant sends that export and drops the runs it spent.
+        assert all(len(kept) == 0 for kept in exporter._runs.values())
+
+    def test_live_listener_keeps_the_export_event(self):
+        sim = Simulator()
+        harness, exporter, capture = self._bench(sim, fast_path=True)
+        live = []
+        exporter.bus.on_frame(lambda t, frame: live.append((sim.now, t)))
+        _home_sequence(sim, harness)
+        sim.schedule_at(1 * S, harness.upstream("X_STEP").pulse)
+        sim.run(until_ns=int(1.35 * S))
+        # Delivered at their own instants, not when the capture pulls.
+        assert live == [(t, t) for t in (1100 * MS, 1200 * MS, 1300 * MS)]
+        assert len(capture) == 3

@@ -1,5 +1,7 @@
 """Tests for the RAMPS-side components: driver, MOSFET, thermistor, endstop, UART."""
 
+import random
+
 import pytest
 
 from repro.electronics.drivers import A4988Driver
@@ -180,3 +182,123 @@ class TestUart:
         bus.send(12345, frame)
         assert got == [(12345, frame)]
         assert bus.frames_sent == 1
+
+
+class TestServedThermistors:
+    """The fast path's event-free thermistor refresh against the 50 ms event.
+
+    Both benches run the same seeded schedule of heater power changes and
+    sensor reads on a real :class:`RampsBoard`: the reference refreshes
+    both channels with a ``sim.every`` task, the served board computes
+    each read from the thermal node's sample grid. Every read, and each
+    node's ``peak_temp_c`` compared by ``repr``, must agree bit for bit.
+    """
+
+    PERIOD_NS = 50_000_000
+
+    def _schedule(self, seed):
+        """``(time_ns, action, node, power)`` steps, each more than a period
+        after the one scheduling it (as the 100 ms heater tick is), so an
+        action on a refresh instant runs before that refresh."""
+        period = self.PERIOD_NS
+        rng = random.Random(seed)
+        steps, t = [], 0
+        while t < 20_000 * period:
+            kind = rng.random()
+            if kind < 0.45:  # exactly on a refresh instant
+                t = (t // period + rng.randint(2, 12)) * period
+            elif kind < 0.9:  # anywhere
+                t += rng.randint(3 * period // 2, 40 * period)
+            else:  # a long settle towards steady state, onto an instant
+                t = (t // period + rng.randint(200, 3000)) * period
+            node = rng.choice(["hotend", "bed"])
+            if rng.random() < 0.5:
+                power = rng.choice([0.0, rng.uniform(0.0, 1.0)])
+                steps.append((t, "power", node, power))
+            else:
+                steps.append((t, "read", node, None))
+        return steps
+
+    def _run(self, schedule, fast_path):
+        from repro.electronics.harness import SignalHarness
+        from repro.electronics.ramps import RampsBoard
+        from repro.physics.printer import PrinterPlant
+        from repro.sim.kernel import Simulator
+
+        sim = Simulator()
+        harness = SignalHarness(sim)
+        plant = PrinterPlant(sim)
+        RampsBoard(sim, harness, plant, fast_path=fast_path)
+        nodes = {"hotend": plant.hotend, "bed": plant.bed}
+        full_w = {"hotend": plant.profile.hotend_power_w, "bed": plant.profile.bed_power_w}
+        wires = {"hotend": harness.downstream("T0_HOTEND"), "bed": harness.downstream("T1_BED")}
+        seen = []
+
+        def act(index):
+            t, action, node, power = schedule[index]
+            if action == "power":
+                nodes[node].set_power(power * full_w[node])
+            else:
+                seen.append((sim.now, node, wires[node].value))
+            if index + 1 < len(schedule):
+                sim.schedule_at(schedule[index + 1][0], act, index + 1)
+
+        sim.schedule_at(schedule[0][0], act, 0)
+        # Run in windows that end on refresh instants, and between windows
+        # (outside any event) change a power and read: there the refresh at
+        # exactly ``now`` has already happened.
+        end = schedule[-1][0] + self.PERIOD_NS
+        stop = 0
+        while stop < end:
+            stop += self.PERIOD_NS * 2_347
+            sim.run(until_ns=stop)
+            seen.append((sim.now, "hotend", wires["hotend"].value))
+            nodes["bed"].set_power(0.25 * full_w["bed"])
+            seen.append((sim.now, "bed", wires["bed"].value))
+            seen.append(("peaks", repr(plant.hotend.peak_temp_c), repr(plant.bed.peak_temp_c)))
+        return seen, sim.events_dispatched
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_reads_and_peaks_match_the_refresh_event(self, seed):
+        schedule = self._schedule(seed)
+        on_instant = sum(1 for t, *_ in schedule if t % self.PERIOD_NS == 0)
+        assert on_instant > 10  # the schedule really hits refresh instants
+        reference, reference_events = self._run(schedule, fast_path=False)
+        served, served_events = self._run(schedule, fast_path=True)
+        assert served == reference
+        assert served_events < reference_events // 10  # no refresh events
+
+    def test_set_power_on_an_instant_reanchors_before_that_refresh(self):
+        # The tick-then-refresh order: a power change at exactly a refresh
+        # instant (scheduled a period ahead) is seen by that refresh.
+        schedule = [
+            (100 * self.PERIOD_NS, "power", "hotend", 1.0),
+            (101 * self.PERIOD_NS, "read", "hotend", None),
+            (300 * self.PERIOD_NS, "power", "hotend", 0.0),
+            (300 * self.PERIOD_NS + 7, "read", "hotend", None),
+            (302 * self.PERIOD_NS, "read", "hotend", None),
+        ]
+        assert self._run(schedule, fast_path=True)[0] == self._run(schedule, fast_path=False)[0]
+
+    def test_subscriber_brings_the_refresh_event_back(self):
+        from repro.electronics.harness import SignalHarness
+        from repro.electronics.ramps import RampsBoard
+        from repro.physics.printer import PrinterPlant
+        from repro.sim.kernel import Simulator
+
+        traces = []
+        for fast_path in (False, True):
+            sim = Simulator()
+            harness = SignalHarness(sim)
+            plant = PrinterPlant(sim)
+            RampsBoard(sim, harness, plant, fast_path=fast_path)
+            plant.hotend.set_power(30.0)
+            sim.run(until_ns=7 * self.PERIOD_NS + 3)
+            seen = []
+            harness.upstream("T0_HOTEND").on_change(lambda _w, v, t: seen.append((t, v)))
+            sim.run(until_ns=40 * self.PERIOD_NS)
+            traces.append((seen, repr(plant.hotend.peak_temp_c), sim.events_dispatched))
+        (seen, peak, events), (served_seen, served_peak, served_events) = traces
+        assert (served_seen, served_peak) == (seen, peak)
+        assert len(seen) == 33  # one drive per refresh from the 8th to the 40th
+        assert served_events == events - 7  # refreshes 1 to 7 took no event

@@ -43,7 +43,7 @@ from repro.experiments.scenario import TABLE1_TROJAN_PARAMS
 from repro.firmware.config import MarlinConfig
 from repro.firmware.planner import MotionBlock, MotionPlanner
 from repro.firmware.stepper import StepperExecutor
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import PeriodicTask, Simulator
 from repro.sim.signals import StepWire
 from repro.sim.time import MS, S, US
 from repro.sim.trace import Tracer
@@ -598,3 +598,75 @@ class TestSessionEquivalence:
         assert _observables(precise) == _observables(fast)
         assert precise.firmware.state.homed_axes == {"X", "Y", "Z"}
         assert fast.events_dispatched < precise.events_dispatched
+
+
+# ----------------------------------------------------------------------
+# Periodic observers off the heap, and the watchers that bring them back
+# ----------------------------------------------------------------------
+def _run_counting(session, **run_kwargs):
+    """Run ``session``; count scheduled events by callback (periodic tasks
+    by the callback they run)."""
+    names = {}
+    schedule_at = session.sim.schedule_at
+
+    def spy(time_ns, callback, *args):
+        owner = getattr(callback, "__self__", None)
+        runs = owner._callback if isinstance(owner, PeriodicTask) else callback
+        name = getattr(runs, "__qualname__", repr(runs))
+        names[name] = names.get(name, 0) + 1
+        return schedule_at(time_ns, callback, *args)
+
+    session.sim.schedule_at = spy
+    return session.run(**run_kwargs), names
+
+
+_REFRESH = "RampsBoard._refresh_thermistors"
+_EXPORTS = ("UartExporter._export", "UartExporter._send_due")
+
+
+class TestPeriodicObserversOffTheHeap:
+    def test_fast_session_schedules_no_refresh_or_export(self, tiny_program):
+        precise, precise_names = _run_counting(PrintSession(tiny_program, fast_path=False))
+        fast, fast_names = _run_counting(PrintSession(tiny_program, fast_path=True))
+        assert precise_names[_REFRESH] > 1000
+        assert precise_names["UartExporter._export"] > 100
+        assert precise_names["HeaterController.tick"] > 1000
+        for name in (_REFRESH, *_EXPORTS, "HeaterController.tick"):
+            assert name not in fast_names
+        # One event ticks both heaters.
+        assert 2 * fast_names["MarlinFirmware._tick_heaters"] == precise_names[
+            "HeaterController.tick"
+        ]
+        assert _observables(fast) == _observables(precise)
+
+    def test_tracer_on_the_thermistor_keeps_the_refresh(self, tiny_program):
+        runs = []
+        for fast_path in (False, True):
+            session = PrintSession(tiny_program, fast_path=fast_path)
+            tracer = Tracer()
+            tracer.watch([session.harness.upstream("T0_HOTEND")])
+            result, names = _run_counting(session)
+            events = [(e.time_ns, e.value) for e in tracer.trace("T0_HOTEND.up").events]
+            runs.append((result, events, names))
+        (precise, precise_events, _), (fast, fast_events, fast_names) = runs
+        assert fast_names[_REFRESH] > 1000
+        assert len(precise_events) > 1000
+        assert fast_events == precise_events
+        assert _observables(fast) == _observables(precise)
+
+    def test_live_bus_listener_keeps_the_export(self, tiny_program):
+        runs = []
+        for fast_path in (False, True):
+            session = PrintSession(tiny_program, fast_path=fast_path)
+            frames = []
+            session.uart_bus.on_frame(
+                lambda t, frame, sim=session.sim: frames.append((sim.now, t, frame))
+            )
+            result, names = _run_counting(session)
+            runs.append((result, frames, names))
+        (precise, precise_frames, _), (fast, fast_frames, fast_names) = runs
+        assert fast_names["UartExporter._send_due"] > 100
+        assert len(precise_frames) > 100
+        assert all(now == t for now, t, _frame in fast_frames)  # sent on time
+        assert fast_frames == precise_frames
+        assert _observables(fast) == _observables(precise)
