@@ -41,7 +41,13 @@ DEFAULT_PERIOD_MS = 100
 
 
 class UartExporter:
-    """Streams axis-tracker snapshots as fixed-period UART transactions."""
+    """Streams axis-tracker snapshots as fixed-period UART transactions.
+
+    By default one periodic kernel event takes and sends each snapshot.
+    With ``fast_path`` the snapshots are rebuilt from the tracker's runs
+    and sent late while every bus listener is deferred (see the module
+    docstring); the frames, their times and their order are the same.
+    """
 
     def __init__(
         self,

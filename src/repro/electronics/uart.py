@@ -60,13 +60,15 @@ class UartBus:
         """Subscribe ``callback(time_ns, frame_bytes)`` to transmissions.
 
         ``deferred=True`` declares a listener that calls :meth:`pull` before
-        it reads anything it has received; any other listener is live.
+        it reads anything it has received; any other listener is live. The
+        first live one makes held-back senders catch up first, so it sees
+        only frames sent from now on.
         """
-        self._listeners.append(callback)
         if not deferred and not self.live:
             self.live = True
             for go_live in list(self._go_live):
                 go_live()
+        self._listeners.append(callback)
 
     def defer_sends(self, pull: Callable[[], None], go_live: Callable[[], None]) -> None:
         """Register a sender that may hold frames back while no listener is live.

@@ -328,7 +328,7 @@ class TestRebuiltUartSnapshots:
 
         sim.schedule_at(actions[0][0], step, 0)
 
-    def _play(self, runs, fast_path, stop_at=None):
+    def _play(self, runs, fast_path, stop_at=None, stop=True):
         sim = Simulator()
         harness, exporter, capture = self._bench(sim, fast_path)
         _home_sequence(sim, harness)
@@ -355,9 +355,11 @@ class TestRebuiltUartSnapshots:
             sim.run(until_ns=stop_at)
             exporter.stop()
         sim.run(until_ns=end)
+        if not stop:
+            return exporter
         exporter.stop()
         rows = [(t.index, t.x, t.y, t.z, t.e, t.time_ns) for t in capture.transactions]
-        return rows, exporter.transactions_sent, exporter.bus.frames_sent, exporter
+        return rows, exporter.transactions_sent, exporter.bus.frames_sent
 
     @pytest.mark.parametrize("seed", range(5))
     def test_snapshots_match_the_per_event_exporter(self, seed):
@@ -367,25 +369,25 @@ class TestRebuiltUartSnapshots:
         )
         assert on_instant > 5  # pulses really land on export instants
         assert any(times[-1] - times[0] > 200 * MS for _axis, _d, times in runs)
-        reference = self._play(runs, fast_path=False)[:3]
-        rebuilt = self._play(runs, fast_path=True)[:3]
+        reference = self._play(runs, fast_path=False)
+        rebuilt = self._play(runs, fast_path=True)
         assert rebuilt == reference
         assert len(reference[0]) > 50
 
     def test_stop_mid_period(self):
         runs = self._runs(7)
         stop_at = int(runs[40][2][-1]) + 37 * MS  # between two export instants
-        reference = self._play(runs, fast_path=False, stop_at=stop_at)[:3]
-        rebuilt = self._play(runs, fast_path=True, stop_at=stop_at)[:3]
+        reference = self._play(runs, fast_path=False, stop_at=stop_at)
+        rebuilt = self._play(runs, fast_path=True, stop_at=stop_at)
         assert rebuilt == reference
         assert reference[0][-1][-1] < stop_at
 
     def test_consumed_runs_are_dropped(self):
-        runs = self._runs(3)
-        *_, exporter = self._play(runs[:100], fast_path=True)
-        # stop() sent everything; while streaming, each run arriving after
-        # an export instant sends that export and drops the runs it spent.
-        assert all(len(kept) == 0 for kept in exporter._runs.values())
+        # Nothing pulls and nothing stops: each run arriving after an
+        # export instant sends that export and drops the runs it spent.
+        exporter = self._play(self._runs(3), fast_path=True, stop=False)
+        assert exporter.transactions_sent > 50
+        assert sum(len(kept) for kept in exporter._runs.values()) < 10
 
     def test_live_listener_keeps_the_export_event(self):
         sim = Simulator()
@@ -398,3 +400,22 @@ class TestRebuiltUartSnapshots:
         # Delivered at their own instants, not when the capture pulls.
         assert live == [(t, t) for t in (1100 * MS, 1200 * MS, 1300 * MS)]
         assert len(capture) == 3
+
+    def test_listener_joining_mid_stream(self):
+        frames = []
+        for fast_path in (False, True):
+            sim = Simulator()
+            harness, exporter, capture = self._bench(sim, fast_path)
+            _home_sequence(sim, harness)
+            sim.schedule_at(1 * S, harness.upstream("X_STEP").pulse)
+            for k in range(1, 13):  # off the export instants (see _chain)
+                sim.schedule_at(1 * S + k * 20 * MS + 7, harness.upstream("X_STEP").pulse)
+            # The fast exporter still holds back the snapshots of 1.3-1.5 s.
+            sim.run(until_ns=int(1.55 * S))
+            live = []
+            exporter.bus.on_frame(lambda t, frame, sim=sim: live.append((sim.now, t, frame)))
+            sim.run(until_ns=int(1.75 * S))
+            frames.append((live, [(t.index, t.x, t.time_ns) for t in capture.transactions]))
+        assert frames[1] == frames[0]
+        live, _ = frames[1]
+        assert [(now, t) for now, t, _frame in live] == [(t, t) for t in (1600 * MS, 1700 * MS)]

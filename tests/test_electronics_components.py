@@ -280,7 +280,34 @@ class TestServedThermistors:
         ]
         assert self._run(schedule, fast_path=True)[0] == self._run(schedule, fast_path=False)[0]
 
-    def test_subscriber_brings_the_refresh_event_back(self):
+    def test_cooling_segment_peaks_at_its_first_instant(self):
+        # After a long heat the hotend sits exactly at its steady state S.
+        # A power cut on a refresh instant re-anchors there, and that
+        # refresh reads S2 + (S - S2) with S2 the new steady state, which
+        # can round one ulp above S: then it, not S, is the peak.
+        from repro.physics.printer import PlantProfile
+
+        profile = PlantProfile()
+        full, ambient, loss = profile.hotend_power_w, 25.0, profile.hotend_loss_w_per_k
+        steady = ambient + (0.66 * full) / loss
+        cut = next(
+            frac
+            for frac in (k / 1000 for k in range(1, 500))
+            if (ambient + frac * full / loss) + (steady - (ambient + frac * full / loss)) > steady
+        )
+        heat_until = 60_000 * self.PERIOD_NS  # 50 minutes: e^(-t/tau) underflows
+        schedule = [
+            (2 * self.PERIOD_NS, "power", "hotend", 0.66),
+            (heat_until, "power", "hotend", cut),
+            (heat_until + 3 * self.PERIOD_NS + 11, "read", "hotend", None),
+        ]
+        reference, _ = self._run(schedule, fast_path=False)
+        served, _ = self._run(schedule, fast_path=True)
+        assert served == reference
+        assert float(reference[-1][1]) > steady  # the ulp above S is the peak
+
+    @pytest.mark.parametrize("watcher", ["subscriber", "interceptor"])
+    def test_watcher_brings_the_refresh_event_back(self, watcher):
         from repro.electronics.harness import SignalHarness
         from repro.electronics.ramps import RampsBoard
         from repro.physics.printer import PrinterPlant
@@ -295,10 +322,19 @@ class TestServedThermistors:
             plant.hotend.set_power(30.0)
             sim.run(until_ns=7 * self.PERIOD_NS + 3)
             seen = []
-            harness.upstream("T0_HOTEND").on_change(lambda _w, v, t: seen.append((t, v)))
+            if watcher == "subscriber":
+                harness.upstream("T0_HOTEND").on_change(lambda _w, v, t: seen.append((t, v)))
+            else:
+
+                def forward(path, _kind, value, time_ns):
+                    seen.append((time_ns, value))
+                    path.downstream.drive(value)
+
+                harness.path("T0_HOTEND").install_interceptor("probe", forward)
             sim.run(until_ns=40 * self.PERIOD_NS)
+            seen.append(("firmware reads", harness.downstream("T0_HOTEND").value))
             traces.append((seen, repr(plant.hotend.peak_temp_c), sim.events_dispatched))
         (seen, peak, events), (served_seen, served_peak, served_events) = traces
         assert (served_seen, served_peak) == (seen, peak)
-        assert len(seen) == 33  # one drive per refresh from the 8th to the 40th
+        assert len(seen) == 34  # one drive per refresh from the 8th to the 40th
         assert served_events == events - 7  # refreshes 1 to 7 took no event
