@@ -110,13 +110,8 @@ class RampsBoard:
         }
         self._refresh_thermistors()
         self._thermistor_task: Optional[PeriodicTask] = None
-        self._served = ()
         if fast_path:
-            self._served = (
-                (self.thermistors["hotend"], plant.hotend),
-                (self.thermistors["bed"], plant.bed),
-            )
-            for channel, node in self._served:
+            for channel, node in zip(self.thermistors.values(), (plant.hotend, plant.bed)):
                 channel.serve(harness.path(channel.name), node, _REFRESH_NS, self._watched)
         else:
             self._thermistor_task = sim.every(_REFRESH_NS, self._refresh_thermistors)
@@ -143,18 +138,12 @@ class RampsBoard:
         for channel in self.thermistors.values():
             channel.refresh()
 
-    def _unserve(self) -> Optional[int]:
-        """Pin served thermistor wires; returns the next refresh instant."""
-        next_ns = None
-        for channel, node in self._served:
-            next_ns = ThermistorChannel.unserve(self.harness.path(channel.name), node)
-        self._served = ()
-        return next_ns
-
     def _watched(self) -> None:
         # Something now sees the thermistor wires: refresh them by event
         # from the next grid instant on, as the precise path always does.
-        next_ns = self._unserve()
+        next_ns = None
+        for channel in self.thermistors.values():
+            next_ns = channel.unserve()
         if next_ns is not None:
             self._thermistor_task = self.sim.every(
                 _REFRESH_NS, self._refresh_thermistors, start_delay_ns=next_ns - self.sim.now
@@ -167,6 +156,7 @@ class RampsBoard:
 
     def shutdown(self) -> None:
         """Stop periodic activity (end of simulation housekeeping)."""
-        self._unserve()
+        for channel in self.thermistors.values():
+            channel.unserve()
         if self._thermistor_task is not None:
             self._thermistor_task.cancel()

@@ -11,7 +11,7 @@ matching how Marlin's thermistor tables work in practice.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional, Tuple
 
 from repro.errors import ElectronicsError
 from repro.sim.signals import AnalogWire
@@ -85,6 +85,7 @@ class ThermistorChannel:
         self.name = name
         self.wire = wire
         self._read_temp_c = read_temp_c
+        self._served: Optional[Tuple["SignalPath", "ThermalNode"]] = None
 
     def refresh(self) -> float:
         """Sample the temperature source and update the wire voltage."""
@@ -107,10 +108,15 @@ class ThermistorChannel:
 
         path.upstream.serve(sample, on_watch)
         path.downstream.serve(sample, on_watch)
+        self._served = (path, node)
 
-    @staticmethod
-    def unserve(path: "SignalPath", node: "ThermalNode") -> Optional[int]:
-        """Pin both wires at the latest refresh; returns the next refresh instant."""
+    def unserve(self) -> Optional[int]:
+        """Pin both wires at the latest refresh; returns the next refresh
+        instant (None: not serving)."""
+        if self._served is None:
+            return None
+        path, node = self._served
+        self._served = None
         path.upstream.unserve()
         path.downstream.unserve()
         return node.stop_grid()

@@ -128,9 +128,10 @@ class Simulator:
         is dispatching. Periodic observers kept off the heap
         (:meth:`~repro.physics.thermal.ThermalNode.start_grid`, the fast
         UART export) count a grid instant as past once it is at or before
-        this: inside an event at exactly a grid instant the virtual tick
-        is still to come, as a task armed one period earlier fires after
-        one armed two periods earlier.
+        this. So inside an event at exactly a grid instant the virtual tick
+        there is still to come: on the heap it would have been armed one
+        period earlier, after any event at that instant scheduled earlier
+        still, such as a heater tick whose period is twice as long.
         """
         return self._now - 1 if self._running else self._now
 
