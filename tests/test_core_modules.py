@@ -419,3 +419,28 @@ class TestRebuiltUartSnapshots:
         assert frames[1] == frames[0]
         live, _ = frames[1]
         assert [(now, t) for now, t, _frame in live] == [(t, t) for t in (1600 * MS, 1700 * MS)]
+
+    def test_rehoming_mid_stream(self):
+        frames = []
+        for fast_path in (False, True):
+            sim = Simulator()
+            harness = SignalHarness(sim)
+            detector = HomingDetector(harness)
+            tracker = AxisTracker(harness)
+            bus = UartBus()
+            UartExporter(sim, tracker, detector, bus=bus, fast_path=fast_path)
+            capture = PulseCapture(bus)
+            _home_sequence(sim, harness)
+            step = harness.upstream("X_STEP")
+            for k in range(30):  # off the export instants (see _chain)
+                sim.schedule_at(1 * S + k * 20 * MS + 7 * (k > 0), step.pulse)
+            sim.run(until_ns=int(1.43 * S))
+            detector.reset()
+            for index, name in enumerate(("X_MIN", "Y_MIN", "Z_MIN")):
+                at = int(1.45 * S) + index * 100
+                sim.schedule_at(at, harness.upstream(name).drive, 1)
+                sim.schedule_at(at + 50, harness.upstream(name).drive, 0)
+            sim.run(until_ns=int(1.95 * S))
+            frames.append([(t.x, t.time_ns) for t in capture.transactions])
+        assert frames[1] == frames[0]
+        assert [x for x, _t in frames[0]][3:6] == [-20, -2, -7]  # counts restart at 0
