@@ -23,6 +23,10 @@ Layers of pinning:
   observably identical fast vs precise: status, kill reason, duration,
   axis totals, missed steps, every captured UART transaction, mux and
   Trojan counters, and — when traced — every wire trace event.
+- **Periodic observers** — a fast session schedules no thermistor refresh,
+  UART export or per-heater tick event; a ``Tracer`` on a thermistor wire
+  or a live UART listener brings those events back, and the session still
+  equals the precise run.
 """
 
 import random
