@@ -9,12 +9,14 @@ homing detector, begins its period at the first tracked step edge, and packs
 each snapshot into a 16-byte frame on the UART bus.
 
 On the fast path no kernel event takes a snapshot while every bus listener
-is deferred (a :class:`~repro.core.capture.PulseCapture`): the exporter
-keeps the runs of pulses the tracker counts and rebuilds each snapshot at
-its grid instant ``t`` from the pulses before ``t`` (``searchsorted``, as
-the deposition sample grid does), sending the frames due when runs arrive,
-when a listener pulls and at :meth:`UartExporter.stop`. Bulk step emission
-then runs through export instants. A live listener (a
+is deferred (a :class:`~repro.core.capture.PulseCapture`): a
+:class:`~repro.sim.kernel.SampleClock` keeps the export schedule, the
+exporter keeps the runs of pulses the tracker counts, and it rebuilds each
+snapshot at its instant ``t`` from the pulses before ``t``
+(``searchsorted``, as the deposition sample grid does), sending the frames
+of the instants passed when runs arrive, when a listener pulls and at
+:meth:`UartExporter.stop`. Bulk step emission then runs through export
+instants. A live listener (a
 :class:`~repro.detection.realtime.StreamingDetector`, which may kill the
 print mid-run) brings back one event per instant, from the next one on.
 """
@@ -31,7 +33,7 @@ from repro.core.modules.homing_detect import HomingDetector
 from repro.electronics.pins import AXES
 from repro.electronics.uart import UartBus, pack_step_counts
 from repro.errors import OfframpsError
-from repro.sim.kernel import PeriodicTask, Simulator
+from repro.sim.kernel import PeriodicTask, SampleClock, Simulator
 from repro.sim.time import MS
 
 _Run = Tuple[int, Optional[np.ndarray], int]  # (last_ns, times_ns or None, signed count)
@@ -67,9 +69,11 @@ class UartExporter:
         self.transactions_sent = 0
         self._task: Optional[PeriodicTask] = None
         self._stopped = False
-        # Fast path: the next export instant not yet sent (None: no stream),
-        # each axis's count before the oldest kept run, and the kept runs.
+        # Fast path: the export schedule (None: no stream held back), the
+        # next export instant not yet sent (None: no stream), each axis's
+        # count before the oldest kept run, and the kept runs.
         self.fast_path = fast_path
+        self._clock: Optional[SampleClock] = None
         self._next_ns: Optional[int] = None
         self._base: Dict[str, int] = dict.fromkeys(AXES, 0)
         self._runs: Dict[str, Deque[_Run]] = {axis: deque() for axis in AXES}
@@ -84,9 +88,9 @@ class UartExporter:
         # in-flight pulse must not be counted. Arm one tick later.
         def arm() -> None:
             if self._next_ns is not None:
-                # A re-homing mid-stream: the snapshot due now was taken a
-                # period before this arm was scheduled, so it precedes it.
-                self._send_through(self.sim.now)
+                # A re-homing mid-stream: snapshots already passed count
+                # the old run.
+                self._pull()
                 self._base = dict.fromkeys(AXES, 0)
                 for runs in self._runs.values():
                     runs.clear()
@@ -102,7 +106,8 @@ class UartExporter:
             self._task = self.sim.every(self.period_ms * MS, self._export)
             return
         self._base = self.tracker.snapshot()
-        self._next_ns = self.sim.now + self.period_ms * MS
+        self._clock = self.sim.clock(self.period_ms * MS)
+        self._next_ns = self._clock.next_ns
         if self.bus.live:
             self._go_live()
 
@@ -119,24 +124,27 @@ class UartExporter:
         if self._next_ns is None:
             return
         self._runs[axis].append((last_ns, times_ns, signed))
-        # Every pulse before now has reached the tracker: the snapshots due
-        # before now are final, and sending them drops the runs they consumed.
-        if self._next_ns < self.sim.now:
-            self._send_through(self.sim.now - 1)
+        # Every pulse before now has reached the tracker, and none of this
+        # run is before an instant passed: those snapshots are final, and
+        # sending them drops the runs they consumed.
+        clock = self._clock
+        if clock is not None and self._next_ns <= clock.last_ns:
+            self._send_through(clock.last_ns)
 
     def _pull(self) -> None:
-        if self._next_ns is not None and self._task is None:
-            self._send_through(self.sim.passed_ns)
+        if self._clock is not None:
+            self._send_through(self._clock.last_ns)
 
     def _go_live(self) -> None:
-        if self._next_ns is None or self._task is not None:
+        if self._clock is None:
             return
-        self._send_through(self.sim.passed_ns)
-        self._task = self.sim.every(
-            self.period_ms * MS,
-            self._send_due,
-            start_delay_ns=self._next_ns - self.sim.now,
-        )
+        self._pull()
+        self._clock.hand_off(self._resume_exports)
+
+    def _resume_exports(self) -> None:
+        self._clock = None
+        self._task = self.sim.every(self.period_ms * MS, self._send_due)
+        self._send_due()
 
     def _send_due(self) -> None:
         self._send_through(self.sim.now)
@@ -172,6 +180,9 @@ class UartExporter:
         self._next_ns = None
         for runs in self._runs.values():
             runs.clear()
+        if self._clock is not None:
+            self._clock.cancel()
+            self._clock = None
         if self._task is not None:
             self._task.cancel()
             self._task = None

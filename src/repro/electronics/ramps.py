@@ -18,7 +18,7 @@ from repro.electronics.mosfet import PowerMosfet
 from repro.electronics.pins import AXES, ENDSTOP_SIGNALS
 from repro.electronics.thermistor import ThermistorChannel
 from repro.physics.printer import PrinterPlant
-from repro.sim.kernel import PeriodicTask, Simulator
+from repro.sim.kernel import PeriodicTask, SampleClock, Simulator
 from repro.sim.time import MS
 
 _REFRESH_NS = 50 * MS  # thermistor channel refresh period
@@ -29,12 +29,15 @@ class RampsBoard:
 
     The thermistor channels refresh every 50 ms. By default a periodic
     kernel event drives both wires. With ``fast_path`` the channels serve
-    their signals from the plant nodes' sample grids instead
-    (:meth:`ThermistorChannel.serve`): no event, the same value at every
-    read and the same ``peak_temp_c``. The event comes back, from the next
-    refresh instant, as soon as anything else watches ``T0_HOTEND`` or
-    ``T1_BED``: an ``on_change`` subscriber such as a
-    :class:`~repro.sim.trace.Tracer`, a drive, or an FPGA interceptor.
+    their signals from the plant nodes' sample grids on a
+    :class:`~repro.sim.kernel.SampleClock` instead
+    (:meth:`ThermistorChannel.serve`): no event, yet every read returns
+    what the refresh event would have left, in the same order against
+    every other event at a refresh instant, and ``peak_temp_c`` is the
+    same. The event comes back, at the next refresh instant, as soon as
+    anything else watches ``T0_HOTEND`` or ``T1_BED``: an ``on_change``
+    subscriber such as a :class:`~repro.sim.trace.Tracer`, a drive, or an
+    FPGA interceptor.
     """
 
     def __init__(
@@ -110,9 +113,13 @@ class RampsBoard:
         }
         self._refresh_thermistors()
         self._thermistor_task: Optional[PeriodicTask] = None
+        self._thermistor_clock: Optional[SampleClock] = None
         if fast_path:
+            self._thermistor_clock = sim.clock(_REFRESH_NS)
             for channel, node in zip(self.thermistors.values(), (plant.hotend, plant.bed)):
-                channel.serve(harness.path(channel.name), node, _REFRESH_NS, self._watched)
+                channel.serve(
+                    harness.path(channel.name), node, self._thermistor_clock, self._watched
+                )
         else:
             self._thermistor_task = sim.every(_REFRESH_NS, self._refresh_thermistors)
 
@@ -139,15 +146,17 @@ class RampsBoard:
             channel.refresh()
 
     def _watched(self) -> None:
-        # Something now sees the thermistor wires: refresh them by event
-        # from the next grid instant on, as the precise path always does.
-        next_ns = None
+        # Something now sees the thermistor wires: they hold the latest
+        # refresh, and from the next instant on a refresh event drives them,
+        # as on the precise path.
         for channel in self.thermistors.values():
-            next_ns = channel.unserve()
-        if next_ns is not None:
-            self._thermistor_task = self.sim.every(
-                _REFRESH_NS, self._refresh_thermistors, start_delay_ns=next_ns - self.sim.now
-            )
+            channel.unserve()
+        self._thermistor_clock.hand_off(self._resume_refresh)
+
+    def _resume_refresh(self) -> None:
+        self._thermistor_clock = None
+        self._thermistor_task = self.sim.every(_REFRESH_NS, self._refresh_thermistors)
+        self._refresh_thermistors()
 
     # ------------------------------------------------------------------
     def total_missed_steps(self) -> int:
@@ -158,5 +167,7 @@ class RampsBoard:
         """Stop periodic activity (end of simulation housekeeping)."""
         for channel in self.thermistors.values():
             channel.unserve()
+        if self._thermistor_clock is not None:
+            self._thermistor_clock.cancel()
         if self._thermistor_task is not None:
             self._thermistor_task.cancel()

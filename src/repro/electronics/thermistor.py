@@ -19,6 +19,7 @@ from repro.sim.signals import AnalogWire
 if TYPE_CHECKING:
     from repro.electronics.harness import SignalPath
     from repro.physics.thermal import ThermalNode
+    from repro.sim.kernel import SampleClock
 
 _R_NOMINAL_OHM = 100_000.0  # thermistor resistance at 25 C
 _T_NOMINAL_K = 298.15
@@ -78,7 +79,8 @@ class ThermistorChannel:
     reads the wire and quantises with :func:`voltage_to_adc`. Instead of
     being refreshed by a periodic event, a channel can :meth:`serve` its
     signal from a thermal node's sample grid: every read then returns the
-    voltage of the latest refresh instant, computed on demand.
+    voltage at the latest refresh instant the clock has passed, computed
+    on demand.
     """
 
     def __init__(self, name: str, wire: AnalogWire, read_temp_c) -> None:
@@ -94,14 +96,18 @@ class ThermistorChannel:
         return temp_c
 
     def serve(
-        self, path: "SignalPath", node: "ThermalNode", period_ns: int, on_watch: Callable[[], Any]
+        self,
+        path: "SignalPath",
+        node: "ThermalNode",
+        clock: "SampleClock",
+        on_watch: Callable[[], Any],
     ) -> None:
-        """Answer both wires of ``path`` from ``node``'s grid, refreshed now.
+        """Answer both wires of ``path`` from ``node``'s grid on ``clock``.
 
         ``on_watch`` runs when anything starts watching either wire (see
         :meth:`AnalogWire.serve`); it must call :meth:`unserve`.
         """
-        node.start_grid(period_ns)
+        node.start_grid(clock)
 
         def sample() -> float:
             return divider_voltage(node.grid_temperature_c())
@@ -110,13 +116,12 @@ class ThermistorChannel:
         path.downstream.serve(sample, on_watch)
         self._served = (path, node)
 
-    def unserve(self) -> Optional[int]:
-        """Pin both wires at the latest refresh; returns the next refresh
-        instant (None: not serving)."""
+    def unserve(self) -> None:
+        """Pin both wires at the latest refresh and stop serving."""
         if self._served is None:
-            return None
+            return
         path, node = self._served
         self._served = None
         path.upstream.unserve()
         path.downstream.unserve()
-        return node.stop_grid()
+        node.stop_grid()

@@ -12,9 +12,9 @@ Damage crossings (the destructive outcome of Trojan T7) are detected by
 solving for the crossing time analytically and scheduling an event there, so
 no overshoot is missed between samples.
 
-A node can also be read on a fixed sample grid without a kernel event per
-sample (:meth:`ThermalNode.start_grid`): the RAMPS thermistor refresh on the
-fast path. Between two power changes the trajectory is monotone, so only the
+A node can also be read on a sample grid without a kernel event per sample
+(:meth:`ThermalNode.start_grid`, on a :class:`~repro.sim.kernel.SampleClock`):
+the RAMPS thermistor refresh on the fast path. Between two power changes the trajectory is monotone, so only the
 first grid instant of a cooling segment and the last of any segment can
 raise ``peak_temp_c``; those, and the instants actually read, are the only
 ones evaluated, and the peak ends bit-identical to sampling every instant.
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.errors import PlantError
-from repro.sim.kernel import EventHandle, Simulator
+from repro.sim.kernel import EventHandle, SampleClock, Simulator
 
 
 @dataclass(frozen=True)
@@ -67,11 +67,11 @@ class ThermalNode:
         self._power_w = 0.0
         self._peak_c = self._temp0_c
         self._damage_handle: Optional[EventHandle] = None
-        # Sample grid (None: not sampling): the next instant not yet taken,
-        # the period, the temperature at the latest instant taken, and
-        # whether the current segment has had its first instant taken.
-        self._grid_next_ns: Optional[int] = None
-        self._grid_period_ns = 0
+        # Sample grid (clock None: not sampling): the next instant not yet
+        # taken, the temperature at the latest instant taken, and whether
+        # the current segment has had its first instant taken.
+        self._grid_clock: Optional[SampleClock] = None
+        self._grid_next_ns = 0
         self._grid_temp_c = self._temp0_c
         self._grid_segment_open = False
 
@@ -93,7 +93,8 @@ class ThermalNode:
     @property
     def peak_temp_c(self) -> float:
         """Highest temperature read so far, grid instants already past included."""
-        self._take_grid(self.sim.passed_ns)
+        if self._grid_clock is not None:
+            self._take_grid(self._grid_clock.last_ns)
         return self._peak_c
 
     def temperature_c(self, time_ns: Optional[int] = None) -> float:
@@ -114,8 +115,9 @@ class ThermalNode:
             raise PlantError(f"thermal node {self.name}: negative power {power_w}W")
         t_ns = self.sim.now if time_ns is None else time_ns
         # Grid instants already past belong to the old segment; one at
-        # exactly t_ns inside an event is taken after this change.
-        self._take_grid(min(t_ns, self.sim.passed_ns))
+        # exactly t_ns that has not passed yet is taken after this change.
+        if self._grid_clock is not None:
+            self._take_grid(min(t_ns, self._grid_clock.last_ns))
         self._temp0_c = self.temperature_c(t_ns)
         self._t0_ns = t_ns
         self._power_w = float(power_w)
@@ -125,37 +127,37 @@ class ThermalNode:
     # ------------------------------------------------------------------
     # Sample grid
     # ------------------------------------------------------------------
-    def start_grid(self, period_ns: int) -> None:
-        """Sample the temperature now and every ``period_ns`` after, lazily.
+    def start_grid(self, clock: SampleClock) -> None:
+        """Sample the temperature now and at each instant of ``clock``, lazily.
 
         No kernel event takes a sample: :meth:`grid_temperature_c` returns
-        the temperature at the latest instant at or before
-        ``sim.passed_ns``, and a power change or a ``peak_temp_c`` read
-        first takes every instant already past. Each instant reads as if a
-        periodic task armed by this call had read :meth:`temperature_c`
-        there, ``peak_temp_c`` included.
+        the temperature at ``clock.last_ns``, and a power change or a
+        ``peak_temp_c`` read first takes every instant already passed. Each
+        instant reads as if the clock's periodic task had read
+        :meth:`temperature_c` there, ``peak_temp_c`` included.
         """
-        self._grid_period_ns = int(period_ns)
-        self._grid_next_ns = self.sim.now
+        self._grid_clock = clock
+        self._grid_next_ns = clock.last_ns
         self._grid_segment_open = False
-        self._take_grid(self.sim.now)
+        self._take_grid(clock.last_ns)
 
-    def stop_grid(self) -> Optional[int]:
-        """Take every instant already past and stop; returns the next instant."""
-        self._take_grid(self.sim.passed_ns)
-        next_ns, self._grid_next_ns = self._grid_next_ns, None
-        return next_ns
+    def stop_grid(self) -> None:
+        """Take every instant already passed and stop sampling."""
+        if self._grid_clock is not None:
+            self._take_grid(self._grid_clock.last_ns)
+            self._grid_clock = None
 
     def grid_temperature_c(self) -> float:
-        """Temperature at the latest grid instant already past."""
-        self._take_grid(self.sim.passed_ns)
+        """Temperature at the latest grid instant passed."""
+        if self._grid_clock is not None:
+            self._take_grid(self._grid_clock.last_ns)
         return self._grid_temp_c
 
     def _take_grid(self, through_ns: int) -> None:
         first = self._grid_next_ns
-        if first is None or through_ns < first:
+        if through_ns < first:
             return
-        period = self._grid_period_ns
+        period = self._grid_clock.period_ns
         last = first + (through_ns - first) // period * period
         if not self._grid_segment_open:
             self._grid_segment_open = True

@@ -11,6 +11,10 @@ never reaches the handle: every heap sift stays in C, and equal-time events
 pop in scheduling order (the FIFO tie-break). Cancellation is lazy:
 cancelled handles stay in the heap but are skipped on pop, which keeps both
 operations O(log n).
+
+A :class:`SampleClock` is a periodic task's schedule without its events:
+the kernel passes each of its instants exactly where the task's event
+would have fired, so an observer can read "the latest sample" on demand.
 """
 
 from __future__ import annotations
@@ -19,6 +23,8 @@ import heapq
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
+
+_NEVER = 1 << 63  # past every representable simulation time
 
 
 class EventHandle:
@@ -85,6 +91,8 @@ class Simulator:
         self._running: bool = False
         self._stop_requested: bool = False
         self._run_until_ns: Optional[int] = None
+        self._clocks: List[SampleClock] = []
+        self._clock_due: int = _NEVER  # earliest next instant of any clock
 
     # ------------------------------------------------------------------
     # Introspection
@@ -118,22 +126,6 @@ class Simulator:
         event never emits activity past the window the caller asked for.
         """
         return self._run_until_ns
-
-    @property
-    def passed_ns(self) -> int:
-        """Latest instant whose events have all fired.
-
-        ``now`` between :meth:`run` calls (a run that drained its window
-        fired everything due at its ``until_ns``), ``now - 1`` while an event
-        is dispatching. Periodic observers kept off the heap
-        (:meth:`~repro.physics.thermal.ThermalNode.start_grid`, the fast
-        UART export) count a grid instant as past once it is at or before
-        this. So inside an event at exactly a grid instant the virtual tick
-        there is still to come: on the heap it would have been armed one
-        period earlier, after any event at that instant scheduled earlier
-        still, such as a heater tick whose period is twice as long.
-        """
-        return self._now - 1 if self._running else self._now
 
     def next_event_time(self) -> Optional[int]:
         """Timestamp of the next runnable event, or ``None`` if idle.
@@ -178,10 +170,15 @@ class Simulator:
         Returns ``True`` if an event was dispatched, ``False`` if the queue
         held nothing runnable.
         """
-        while self._queue:
-            time_ns, _seq, handle = heapq.heappop(self._queue)
+        queue = self._queue
+        while queue:
+            time_ns, seq, handle = queue[0]
             if handle.cancelled:
+                heapq.heappop(queue)
                 continue
+            if time_ns >= self._clock_due and self._tick_clocks(time_ns, seq):
+                continue
+            heapq.heappop(queue)
             self._now = time_ns
             handle.fired = True
             self._pending -= 1
@@ -213,16 +210,22 @@ class Simulator:
         queue = self._queue
         heappop = heapq.heappop
         try:
-            while queue:
+            while True:
                 if self._stop_requested:
                     break
-                if max_events is not None and dispatched >= max_events:
+                if queue:
+                    time_ns, seq, head = queue[0]
+                    if head.cancelled:
+                        heappop(queue)
+                        continue
+                if not queue or (until_ns is not None and time_ns > until_ns):
+                    # The window drained: clock instants through its end pass.
+                    if until_ns is not None and self._tick_clocks(until_ns, None):
+                        continue
                     break
-                time_ns, _seq, head = queue[0]
-                if head.cancelled:
-                    heappop(queue)
-                    continue
-                if until_ns is not None and time_ns > until_ns:
+                if time_ns >= self._clock_due and self._tick_clocks(time_ns, seq):
+                    continue  # a hand-off ran and may have scheduled ahead
+                if max_events is not None and dispatched >= max_events:
                     break
                 # Dispatch inline: the head we just inspected is the event
                 # to run, so pop it directly instead of re-peeking through
@@ -251,6 +254,32 @@ class Simulator:
             heapq.heappop(queue)
         return queue[0][0] if queue else None
 
+    def _tick_clocks(self, time_ns: int, seq: Optional[int]) -> bool:
+        """Pass every clock instant whose event would fire before the event
+        ``(time_ns, seq)``; ``seq=None`` passes all through ``time_ns``.
+
+        Instants pass one at a time in the order their events would fire.
+        Returns True when a hand-off ran: it may have scheduled an event
+        ahead of the one the caller was about to dispatch.
+        """
+        clocks = self._clocks
+        while True:
+            best: Optional[SampleClock] = None
+            for clock in clocks:
+                due = clock.next_ns
+                if due < time_ns or (due == time_ns and (seq is None or clock._mark <= seq)):
+                    if best is None or (due, clock._mark) < (best.next_ns, best._mark):
+                        best = clock
+            if best is None:
+                return False
+            best._pass()
+            if best._hand_off is not None:
+                hand_off, best._hand_off = best._hand_off, None
+                best.cancel()
+                self._now = best.last_ns
+                hand_off()
+                return True
+
     def run_for(self, duration_ns: int, max_events: Optional[int] = None) -> int:
         """Run for ``duration_ns`` of simulated time from now."""
         return self.run(until_ns=self._now + int(duration_ns), max_events=max_events)
@@ -276,6 +305,65 @@ class Simulator:
         first = period_ns if start_delay_ns is None else start_delay_ns
         task._arm(self._now + int(first))
         return task
+
+    def clock(self, period_ns: int, start_delay_ns: Optional[int] = None) -> "SampleClock":
+        """A :class:`SampleClock` with the schedule ``every(period_ns, ...,
+        start_delay_ns=start_delay_ns)`` would give its task, armed now."""
+        if period_ns <= 0:
+            raise SimulationError(f"period must be positive, got {period_ns}ns")
+        first = period_ns if start_delay_ns is None else start_delay_ns
+        clock = SampleClock(self, int(period_ns), self._now + int(first))
+        self._clocks.append(clock)
+        self._clock_due = min(self._clock_due, clock.next_ns)
+        return clock
+
+
+class SampleClock:
+    """The schedule of a periodic task, kept without its events.
+
+    The kernel passes each instant where the task's event would fire: after
+    every event at that instant scheduled before the previous one passed
+    (the task re-arms as it fires), before any scheduled later, and at the
+    end of a :meth:`Simulator.run` window that drained through it.
+    :attr:`last_ns` is the latest instant passed: an observer sampling on
+    this clock reads its sample there, lazily, and sees what the task's
+    event would have left. :meth:`hand_off` turns the clock back into a
+    real task at its next instant.
+    """
+
+    __slots__ = ("_sim", "period_ns", "next_ns", "last_ns", "_mark", "_hand_off")
+
+    def __init__(self, sim: Simulator, period_ns: int, first_ns: int) -> None:
+        self._sim = sim
+        self.period_ns = period_ns
+        self.next_ns = first_ns
+        self.last_ns = sim.now  # the arming instant until the first one passes
+        # The sequence number the next instant's event would carry.
+        self._mark = sim._seq
+        self._hand_off: Optional[Callable[[], Any]] = None
+
+    def _pass(self) -> None:
+        self.last_ns = self.next_ns
+        self.next_ns += self.period_ns
+        self._mark = self._sim._seq
+        self._sim._clock_due = min(clock.next_ns for clock in self._sim._clocks)
+
+    def hand_off(self, callback: Callable[[], Any]) -> None:
+        """At the next instant, in its event's place, stop and run ``callback()``.
+
+        The callback typically arms ``sim.every(period_ns, ...)`` and does
+        the first instant's work, which then runs on exactly the task
+        schedule the clock stood for.
+        """
+        self._hand_off = callback
+
+    def cancel(self) -> None:
+        """Stop the clock (and drop any pending hand-off). Safe to repeat."""
+        self._hand_off = None
+        clocks = self._sim._clocks
+        if self in clocks:
+            clocks.remove(self)
+            self._sim._clock_due = min((clock.next_ns for clock in clocks), default=_NEVER)
 
 
 class PeriodicTask:

@@ -197,9 +197,15 @@ class TestServedThermistors:
     PERIOD_NS = 50_000_000
 
     def _schedule(self, seed):
-        """``(time_ns, action, node, power)`` steps, each more than a period
-        after the one scheduling it (as the 100 ms heater tick is), so an
-        action on a refresh instant runs before that refresh."""
+        """``(time_ns, action, node, power, lead_ns)`` steps.
+
+        With ``lead_ns`` None the previous step schedules the next one
+        directly, more than a period ahead (as the 100 ms heater tick is),
+        so a step on a refresh instant runs before that refresh. Otherwise a
+        filler event ``lead_ns`` before the step schedules it, as the
+        command pump (2 ms ahead) and the wait poll (at once) do: a step on
+        an instant then runs after that refresh.
+        """
         period = self.PERIOD_NS
         rng = random.Random(seed)
         steps, t = [], 0
@@ -212,11 +218,12 @@ class TestServedThermistors:
             else:  # a long settle towards steady state, onto an instant
                 t = (t // period + rng.randint(200, 3000)) * period
             node = rng.choice(["hotend", "bed"])
+            lead = rng.choice([None, None, 0, 2_000_000, 30_000_000])
             if rng.random() < 0.5:
                 power = rng.choice([0.0, rng.uniform(0.0, 1.0)])
-                steps.append((t, "power", node, power))
+                steps.append((t, "power", node, power, lead))
             else:
-                steps.append((t, "read", node, None))
+                steps.append((t, "read", node, None, lead))
         return steps
 
     def _run(self, schedule, fast_path):
@@ -235,13 +242,17 @@ class TestServedThermistors:
         seen = []
 
         def act(index):
-            t, action, node, power = schedule[index]
+            _t, action, node, power, _lead = schedule[index]
             if action == "power":
                 nodes[node].set_power(power * full_w[node])
             else:
                 seen.append((sim.now, node, wires[node].value))
             if index + 1 < len(schedule):
-                sim.schedule_at(schedule[index + 1][0], act, index + 1)
+                at, lead = schedule[index + 1][0], schedule[index + 1][4]
+                if lead is None:
+                    sim.schedule_at(at, act, index + 1)
+                else:
+                    sim.schedule_at(at - lead, sim.schedule_at, at, act, index + 1)
 
         sim.schedule_at(schedule[0][0], act, 0)
         # Run in windows that end on refresh instants, and between windows
@@ -261,8 +272,9 @@ class TestServedThermistors:
     @pytest.mark.parametrize("seed", range(6))
     def test_reads_and_peaks_match_the_refresh_event(self, seed):
         schedule = self._schedule(seed)
-        on_instant = sum(1 for t, *_ in schedule if t % self.PERIOD_NS == 0)
-        assert on_instant > 10  # the schedule really hits refresh instants
+        on_instant = [lead for t, *_, lead in schedule if t % self.PERIOD_NS == 0]
+        assert on_instant.count(None) > 10  # steps on refresh instants, before
+        assert len(on_instant) - on_instant.count(None) > 10  # and after them
         reference, reference_events = self._run(schedule, fast_path=False)
         served, served_events = self._run(schedule, fast_path=True)
         assert served == reference
@@ -272,13 +284,33 @@ class TestServedThermistors:
         # The tick-then-refresh order: a power change at exactly a refresh
         # instant (scheduled a period ahead) is seen by that refresh.
         schedule = [
-            (100 * self.PERIOD_NS, "power", "hotend", 1.0),
-            (101 * self.PERIOD_NS, "read", "hotend", None),
-            (300 * self.PERIOD_NS, "power", "hotend", 0.0),
-            (300 * self.PERIOD_NS + 7, "read", "hotend", None),
-            (302 * self.PERIOD_NS, "read", "hotend", None),
+            (100 * self.PERIOD_NS, "power", "hotend", 1.0, None),
+            (101 * self.PERIOD_NS, "read", "hotend", None, None),
+            (300 * self.PERIOD_NS, "power", "hotend", 0.0, None),
+            (300 * self.PERIOD_NS + 7, "read", "hotend", None, None),
+            (302 * self.PERIOD_NS, "read", "hotend", None, None),
         ]
         assert self._run(schedule, fast_path=True)[0] == self._run(schedule, fast_path=False)[0]
+
+    @pytest.mark.parametrize("lead_ns", [0, 2_000_000])
+    def test_step_scheduled_inside_the_period_follows_that_refresh(self, lead_ns):
+        # A read or power change on a refresh instant, scheduled less than a
+        # period ahead (the command pump, the wait poll), comes after the
+        # refresh there, so the read sees that refresh.
+        period = self.PERIOD_NS
+        schedule = [
+            (100 * period, "power", "hotend", 1.0, None),
+            (103 * period, "read", "hotend", None, lead_ns),
+            (104 * period, "power", "hotend", 0.2, lead_ns),
+            (104 * period + 9, "read", "hotend", None, None),
+            (106 * period, "read", "hotend", None, lead_ns),
+        ]
+        reference, _ = self._run(schedule, fast_path=False)
+        served, _ = self._run(schedule, fast_path=True)
+        assert served == reference
+        early = [(103 * period - 3_000_000, "read", "hotend", None, None)]
+        before, _ = self._run(sorted(schedule + early, key=lambda step: step[0]), fast_path=False)
+        assert before[1][2] != before[0][2]  # the 103rd refresh moved the reading
 
     def test_cooling_segment_peaks_at_its_first_instant(self):
         # After a long heat the hotend sits exactly at its steady state S.
@@ -297,9 +329,9 @@ class TestServedThermistors:
         )
         heat_until = 60_000 * self.PERIOD_NS  # 50 minutes: e^(-t/tau) underflows
         schedule = [
-            (2 * self.PERIOD_NS, "power", "hotend", 0.66),
-            (heat_until, "power", "hotend", cut),
-            (heat_until + 3 * self.PERIOD_NS + 11, "read", "hotend", None),
+            (2 * self.PERIOD_NS, "power", "hotend", 0.66, None),
+            (heat_until, "power", "hotend", cut, None),
+            (heat_until + 3 * self.PERIOD_NS + 11, "read", "hotend", None, None),
         ]
         reference, _ = self._run(schedule, fast_path=False)
         served, _ = self._run(schedule, fast_path=True)
@@ -337,4 +369,6 @@ class TestServedThermistors:
         (seen, peak, events), (served_seen, served_peak, served_events) = traces
         assert (served_seen, served_peak) == (seen, peak)
         assert len(seen) == 34  # one drive per refresh from the 8th to the 40th
-        assert served_events == events - 7  # refreshes 1 to 7 took no event
+        # Refreshes 1 to 7 took no event, nor did the 8th: the clock ran it
+        # in its event's place and armed the task for the 9th on.
+        assert served_events == events - 8

@@ -674,3 +674,19 @@ class TestPeriodicObserversOffTheHeap:
         assert all(now == t for now, t, _frame in fast_frames)  # sent on time
         assert fast_frames == precise_frames
         assert _observables(fast) == _observables(precise)
+
+    def test_commands_pumped_onto_a_refresh_instant(self):
+        # After the M109 wait the pump runs one M105 every 2 ms, so every
+        # 25th lands on a 50 ms refresh instant, scheduled less than a
+        # refresh period ahead: it reports that instant's refresh on both
+        # paths, not the one before.
+        lines = ["M140 S60", "M104 S200", "M109 S200"] + ["M105"] * 120 + ["M104 S0"]
+        program = parse_program("\n".join(lines))
+        precise = run_print(program, fast_path=False)
+        fast = run_print(program, fast_path=True)
+        on_instant = [
+            line for line in precise.firmware.log if int(line[1 : line.index("]")]) % (50 * MS) == 0
+        ]
+        assert len(on_instant) >= 4
+        assert fast.firmware.log == precise.firmware.log
+        assert _observables(fast) == _observables(precise)

@@ -441,3 +441,117 @@ class TestReferenceModel:
             assert real.kernel.now == ref.kernel.now
             assert real.kernel.pending_events == ref.kernel.pending_events
             assert real.log == ref.log
+
+
+class TestSampleClock:
+    """A :class:`SampleClock` against the periodic task it stands for.
+
+    The reference bench arms ``sim.every`` with a task that records each
+    instant it fires; the clock bench arms ``sim.clock`` on the same
+    schedule. Every event of a seeded program records the latest instant
+    passed (``clock.last_ns``, or the task's latest) and schedules children
+    with delays of zero, less than a period and whole periods, so events
+    land on instants both before and after the task's event there, and
+    some stop the run mid-instant. (``max_events`` is left out: the task's
+    own events count towards it.)
+    """
+
+    PERIOD = 50
+
+    def _play(self, seed, use_clock, hand_off_at=None):
+        sim = Simulator()
+        log = []
+        latest = [0]
+        fired = []
+
+        def tick():
+            latest[0] = sim.now
+            fired.append(sim.now)
+
+        clock = sim.clock(self.PERIOD, start_delay_ns=7) if use_clock else None
+        if not use_clock:
+            sim.every(self.PERIOD, tick, start_delay_ns=7)
+
+        def seen():
+            return clock.last_ns if clock is not None else latest[0]
+
+        def resume():
+            nonlocal clock
+            clock = None
+            sim.every(self.PERIOD, tick)
+            tick()
+
+        def event(name, rng_seed):
+            log.append((sim.now, name, seen()))
+            if clock is not None and name == hand_off_at:
+                clock.hand_off(resume)
+            rng = random.Random(rng_seed)
+            if rng.random() < 0.05:
+                sim.stop()  # the run returns with this instant part-done
+            for child in range(rng.choice([0, 1, 1, 2])):
+                delay = rng.choice(
+                    [0, 1, rng.randint(0, self.PERIOD - 1), self.PERIOD, 2 * self.PERIOD,
+                     -(sim.now - 7) % self.PERIOD, -(sim.now - 7) % self.PERIOD + self.PERIOD]
+                )
+                sim.schedule(delay, event, f"{name}.{child}", rng.random())
+
+        rng = random.Random(seed)
+        for root in range(6):
+            sim.schedule_at(rng.randint(0, 200), event, str(root), rng.random())
+        until = 0
+        while until < 3_000:
+            until += rng.randint(1, 120)
+            sim.run(until_ns=until)
+            log.append(("between", sim.now, seen()))
+        return log, fired
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_instants_pass_where_the_task_fires(self, seed):
+        reference, _ = self._play(seed, use_clock=False)
+        observed, _ = self._play(seed, use_clock=True)
+        assert observed == reference
+        on_instant = [seen for now, _name, seen in reference if now == seen and now != "between"]
+        assert on_instant  # events on an instant after the task fired there
+        assert any(
+            now != "between" and now > 7 and (now - 7) % self.PERIOD == 0 and seen < now
+            for now, _name, seen in reference
+        )  # and events on an instant before it
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_hand_off_resumes_the_task_in_its_place(self, seed):
+        reference, fired = self._play(seed, use_clock=False)
+        handing = next(name for now, name, _seen in reference if now != "between" and now > 600)
+        observed, resumed = self._play(seed, use_clock=True, hand_off_at=handing)
+        assert resumed and resumed[0] > 600
+        assert resumed == fired[fired.index(resumed[0]) :]
+        # Before the hand-off events see the clock, after it the task.
+        assert observed == reference
+
+    def test_clocks_pass_in_the_order_their_events_fire(self):
+        # At 60 both clocks are due; ``slow`` was armed at 0, ``fast``'s
+        # instant at 30, so ``slow`` passes first. ``fast`` hands off
+        # there, and the event its callback schedules for 120 comes after
+        # ``slow`` passes 120, as it would after slow's task re-armed.
+        sim = Simulator()
+        slow = sim.clock(60)
+        fast = sim.clock(30)
+        seen = []
+        sim.run(until_ns=45)
+        fast.hand_off(lambda: sim.schedule(60, lambda: seen.append(slow.last_ns)))
+        sim.run(until_ns=200)
+        assert seen == [120]
+
+    def test_cancel_and_stop(self):
+        sim = Simulator()
+        clock = sim.clock(10)
+        sim.schedule_at(25, sim.stop)
+        sim.schedule_at(30, lambda: None)
+        sim.run(until_ns=100)
+        assert (sim.now, clock.last_ns) == (25, 20)  # stopped: 30 not passed
+        sim.run(until_ns=100)
+        assert clock.last_ns == 100
+        clock.cancel()
+        sim.run(until_ns=200)
+        assert clock.last_ns == 100
+        with pytest.raises(SimulationError):
+            sim.clock(0)
