@@ -10,7 +10,7 @@ index is the row number.
 from __future__ import annotations
 
 import struct
-from typing import Callable, List, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.errors import CaptureError
 
@@ -41,11 +41,11 @@ class UartBus:
     paper's identified limitation (no high-speed interface) is studied in the
     UART-period ablation instead.
 
-    A sender may hold its frames back while every listener is ``deferred``
-    (one that reads what it received only later, such as a capture): it
-    registers with :meth:`defer_sends`, and a deferred listener calls
-    :meth:`pull` before reading. The first live listener makes the sender
-    send each frame at its own time again.
+    One sender may hold its frames back while every listener is
+    ``deferred`` (one that reads what it received only later, such as a
+    capture): it registers with :meth:`defer_sends`, and a deferred listener
+    calls :meth:`pull` before reading. The first live listener makes the
+    sender send each frame at its own time again.
     """
 
     def __init__(self, name: str = "uart") -> None:
@@ -53,21 +53,21 @@ class UartBus:
         self._listeners: List[Callable[[int, bytes], None]] = []
         self.frames_sent = 0
         self.live = False
-        self._pulls: List[Callable[[], None]] = []
-        self._go_live: List[Callable[[], None]] = []
+        self._pull: Optional[Callable[[], None]] = None
+        self._go_live: Optional[Callable[[], None]] = None
 
     def on_frame(self, callback: Callable[[int, bytes], None], *, deferred: bool = False) -> None:
         """Subscribe ``callback(time_ns, frame_bytes)`` to transmissions.
 
         ``deferred=True`` declares a listener that calls :meth:`pull` before
         it reads anything it has received; any other listener is live. The
-        first live one makes held-back senders catch up first, so it sees
+        first live one makes a held-back sender catch up first, so it sees
         only frames sent from now on.
         """
         if not deferred and not self.live:
             self.live = True
-            for go_live in list(self._go_live):
-                go_live()
+            if self._go_live is not None:
+                self._go_live()
         self._listeners.append(callback)
 
     def defer_sends(self, pull: Callable[[], None], go_live: Callable[[], None]) -> None:
@@ -76,13 +76,15 @@ class UartBus:
         ``pull()`` must send every frame due by now; ``go_live()`` runs when
         the first live listener subscribes.
         """
-        self._pulls.append(pull)
-        self._go_live.append(go_live)
+        if self._pull is not None:
+            raise CaptureError(f"UART bus {self.name!r} already has a deferring sender")
+        self._pull = pull
+        self._go_live = go_live
 
     def pull(self) -> None:
-        """Have every deferring sender send the frames due by now."""
-        for pull in self._pulls:
-            pull()
+        """Have the deferring sender send the frames due by now."""
+        if self._pull is not None:
+            self._pull()
 
     def send(self, time_ns: int, frame: bytes) -> None:
         """Transmit one frame to all listeners."""

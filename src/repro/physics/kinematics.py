@@ -163,13 +163,9 @@ class AxisMechanics:
         if next_ns <= last_ns:
             period = self._grid_period_ns
             covered = (last_ns - next_ns) // period + 1
-            if covered == 1:  # a scalar search beats the array round trip
-                before = int(times_ns.searchsorted(next_ns, side="left"))
-                self._grid_steps.append(start + direction * before)
-            else:
-                instants = next_ns + period * np.arange(covered, dtype=np.int64)
-                before = times_ns.searchsorted(instants, side="left")
-                self._grid_steps.extend((start + direction * before).tolist())
+            instants = next_ns + period * np.arange(covered, dtype=np.int64)
+            before = times_ns.searchsorted(instants, side="left")
+            self._grid_steps.extend((start + direction * before).tolist())
             self._grid_next_ns = next_ns + covered * period
         self.total_steps += count
         self.position_steps = start + direction * count
