@@ -306,13 +306,12 @@ class Simulator:
         task._arm(self._now + int(first))
         return task
 
-    def clock(self, period_ns: int, start_delay_ns: Optional[int] = None) -> "SampleClock":
-        """A :class:`SampleClock` with the schedule ``every(period_ns, ...,
-        start_delay_ns=start_delay_ns)`` would give its task, armed now."""
+    def clock(self, period_ns: int) -> "SampleClock":
+        """A :class:`SampleClock` with the schedule ``every(period_ns, ...)``
+        would give its task, armed now."""
         if period_ns <= 0:
             raise SimulationError(f"period must be positive, got {period_ns}ns")
-        first = period_ns if start_delay_ns is None else start_delay_ns
-        clock = SampleClock(self, int(period_ns), self._now + int(first))
+        clock = SampleClock(self, int(period_ns), self._now + int(period_ns))
         self._clocks.append(clock)
         self._clock_due = min(self._clock_due, clock.next_ns)
         return clock

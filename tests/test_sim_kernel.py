@@ -461,16 +461,17 @@ class TestSampleClock:
     def _play(self, seed, use_clock, hand_off_at=None):
         sim = Simulator()
         log = []
-        latest = [0]
+        latest = [7]  # the arming instant, as clock.last_ns starts
         fired = []
 
         def tick():
             latest[0] = sim.now
             fired.append(sim.now)
 
-        clock = sim.clock(self.PERIOD, start_delay_ns=7) if use_clock else None
+        sim.run(until_ns=7)  # instants at 7 + k * PERIOD
+        clock = sim.clock(self.PERIOD) if use_clock else None
         if not use_clock:
-            sim.every(self.PERIOD, tick, start_delay_ns=7)
+            sim.every(self.PERIOD, tick)
 
         def seen():
             return clock.last_ns if clock is not None else latest[0]
@@ -497,7 +498,7 @@ class TestSampleClock:
 
         rng = random.Random(seed)
         for root in range(6):
-            sim.schedule_at(rng.randint(0, 200), event, str(root), rng.random())
+            sim.schedule_at(rng.randint(7, 200), event, str(root), rng.random())
         until = 0
         while until < 3_000:
             until += rng.randint(1, 120)
@@ -520,9 +521,10 @@ class TestSampleClock:
     @pytest.mark.parametrize("seed", range(4))
     def test_hand_off_resumes_the_task_in_its_place(self, seed):
         reference, fired = self._play(seed, use_clock=False)
-        handing = next(name for now, name, _seen in reference if now != "between" and now > 600)
+        events = [(now, name) for now, name, _seen in reference if now != "between"]
+        handing_at, handing = events[len(events) // 2]
         observed, resumed = self._play(seed, use_clock=True, hand_off_at=handing)
-        assert resumed and resumed[0] > 600
+        assert resumed and resumed[0] > handing_at
         assert resumed == fired[fired.index(resumed[0]) :]
         # Before the hand-off events see the clock, after it the task.
         assert observed == reference
