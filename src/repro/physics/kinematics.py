@@ -162,11 +162,10 @@ class AxisMechanics:
         next_ns = self._grid_next_ns
         if next_ns <= last_ns:
             period = self._grid_period_ns
-            covered = (last_ns - next_ns) // period + 1
-            instants = next_ns + period * np.arange(covered, dtype=np.int64)
-            before = times_ns.searchsorted(instants, side="left")
-            self._grid_steps.extend((start + direction * before).tolist())
-            self._grid_next_ns = next_ns + covered * period
+            instants = np.arange(next_ns, last_ns + 1, period, dtype=np.int64)
+            before = times_ns.searchsorted(instants, side="left").tolist()
+            self._grid_steps.extend([start + direction * steps for steps in before])
+            self._grid_next_ns = next_ns + len(before) * period
         self.total_steps += count
         self.position_steps = start + direction * count
         position_mm = self.position_steps / self.steps_per_mm

@@ -196,7 +196,8 @@ class Simulator:
         clock is only advanced when the window truly drained: if ``stop()``
         or a ``max_events`` cap leaves events pending at or before
         ``until_ns``, the clock stays at the last dispatch so those events
-        can still fire in order on the next call.
+        can still fire in order on the next call. A drained window also
+        passes every :class:`SampleClock` instant through ``until_ns``.
 
         Returns the number of events dispatched by this call.
         """
@@ -211,37 +212,41 @@ class Simulator:
         heappop = heapq.heappop
         try:
             while True:
-                if self._stop_requested:
-                    break
-                if queue:
+                while queue:
+                    if self._stop_requested:
+                        break
                     time_ns, seq, head = queue[0]
                     if head.cancelled:
                         heappop(queue)
                         continue
-                if not queue or (until_ns is not None and time_ns > until_ns):
-                    # The window drained: clock instants through its end pass.
-                    if until_ns is not None and self._tick_clocks(until_ns, None):
-                        continue
+                    if until_ns is not None and time_ns > until_ns:
+                        break
+                    if time_ns >= self._clock_due and self._tick_clocks(time_ns, seq):
+                        continue  # a hand-off ran and may have scheduled ahead
+                    if max_events is not None and dispatched >= max_events:
+                        break
+                    # Dispatch inline: the head we just inspected is the event
+                    # to run, so pop it directly instead of re-peeking through
+                    # step() (which would pop, re-check cancellation, and
+                    # re-branch). step() stays as the public single-step API.
+                    heappop(queue)
+                    self._now = time_ns
+                    head.fired = True
+                    self._pending -= 1
+                    self._dispatched += 1
+                    head.callback(*head.args)
+                    dispatched += 1
+                if until_ns is None or self._stop_requested:
                     break
-                if time_ns >= self._clock_due and self._tick_clocks(time_ns, seq):
-                    continue  # a hand-off ran and may have scheduled ahead
-                if max_events is not None and dispatched >= max_events:
-                    break
-                # Dispatch inline: the head we just inspected is the event
-                # to run, so pop it directly instead of re-peeking through
-                # step() (which would pop, re-check cancellation, and
-                # re-branch). step() stays as the public single-step API.
-                heappop(queue)
-                self._now = time_ns
-                head.fired = True
-                self._pending -= 1
-                self._dispatched += 1
-                head.callback(*head.args)
-                dispatched += 1
-            if until_ns is not None and self._now < until_ns and not self._stop_requested:
                 next_time = self._next_pending_time()
-                if next_time is None or next_time > until_ns:
-                    self._now = until_ns
+                if next_time is not None and next_time <= until_ns:
+                    break  # the event cap ended the window early
+                # The window drained: clock instants through its end pass. A
+                # hand-off there may schedule into the window: go round again.
+                if self._clock_due > until_ns or not self._tick_clocks(until_ns, None):
+                    if self._now < until_ns:
+                        self._now = until_ns
+                    break
         finally:
             self._running = False
             self._run_until_ns = None
@@ -265,18 +270,26 @@ class Simulator:
         clocks = self._clocks
         while True:
             best: Optional[SampleClock] = None
+            best_due = earliest = _NEVER
             for clock in clocks:
                 due = clock.next_ns
-                if due < time_ns or (due == time_ns and (seq is None or clock._mark <= seq)):
-                    if best is None or (due, clock._mark) < (best.next_ns, best._mark):
-                        best = clock
+                if due > time_ns or (due == time_ns and seq is not None and clock._mark > seq):
+                    # Its event would fire after the caller's.
+                    if due < earliest:
+                        earliest = due
+                    continue
+                if best is None or due < best_due or (due == best_due and clock._mark < best._mark):
+                    best, best_due = clock, due
             if best is None:
+                self._clock_due = earliest
                 return False
-            best._pass()
+            best.last_ns = best_due
+            best.next_ns = best_due + best.period_ns
+            best._mark = self._seq  # the next instant's event would be armed now
             if best._hand_off is not None:
                 hand_off, best._hand_off = best._hand_off, None
                 best.cancel()
-                self._now = best.last_ns
+                self._now = best_due
                 hand_off()
                 return True
 
@@ -341,12 +354,6 @@ class SampleClock:
         self._mark = sim._seq
         self._hand_off: Optional[Callable[[], Any]] = None
 
-    def _pass(self) -> None:
-        self.last_ns = self.next_ns
-        self.next_ns += self.period_ns
-        self._mark = self._sim._seq
-        self._sim._clock_due = min(clock.next_ns for clock in self._sim._clocks)
-
     def hand_off(self, callback: Callable[[], Any]) -> None:
         """At the next instant, in its event's place, stop and run ``callback()``.
 
@@ -362,7 +369,7 @@ class SampleClock:
         clocks = self._sim._clocks
         if self in clocks:
             clocks.remove(self)
-            self._sim._clock_due = min((clock.next_ns for clock in clocks), default=_NEVER)
+            self._sim._clock_due = min([clock.next_ns for clock in clocks], default=_NEVER)
 
 
 class PeriodicTask:
