@@ -75,7 +75,9 @@ class PulseCapture:
         Keeps index allocation in sync so later bus frames never reuse an
         index already present in the capture.
         """
-        self.transactions.append(transaction)
+        if self._bus is not None:
+            self._bus.pull()  # frames held back on the bus come first
+        self._transactions.append(transaction)
         self._next_index = max(self._next_index, transaction.index + 1)
 
     # ------------------------------------------------------------------

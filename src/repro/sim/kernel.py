@@ -350,7 +350,8 @@ class SampleClock:
         self.period_ns = period_ns
         self.next_ns = first_ns
         self.last_ns = sim.now  # the arming instant until the first one passes
-        # The sequence number the next instant's event would carry.
+        # The seq the next instant's event would carry: events at that
+        # instant with a lower seq were scheduled first and fire before it.
         self._mark = sim._seq
         self._hand_off: Optional[Callable[[], Any]] = None
 
