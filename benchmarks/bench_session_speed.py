@@ -26,15 +26,15 @@ from repro.experiments.batch import execute_spec
 from repro.experiments.scenario import compile_scenario, grid_scenarios
 
 # Fast-path smoke-grid floor, in sessions/sec (cold cache, single process).
-# Measured ~22.8 sessions/s fast and ~2.2 precise, 7,843 and 321,315
+# Measured ~42.1 sessions/s fast and ~4.0 precise, 7,843 and 321,315
 # events (median of three runs, interleaved on the same host with the
 # version whose thermistor refresh, second heater tick and UART export
-# still took kernel events on the fast path: ~16.4 fast, 19,021 events;
-# earlier, ~11.3 before the STEP wires dropped their own pulse-gap
-# statistics and ~10.1 while the deposition sampler still took kernel
-# events) on a 2-vCPU Xeon container whose speed drifts by up to 2x; the
-# floor sits far below that so only a real regression (not runner noise)
-# trips it.
+# still took kernel events on the fast path: ~30.2 fast, 19,021 events;
+# earlier, on a slower day of the same host, ~11.3 before the STEP wires
+# dropped their own pulse-gap statistics and ~10.1 while the deposition
+# sampler still took kernel events) on a 2-vCPU Xeon container whose
+# speed drifts by up to 2x; the floor sits far below that so only a real
+# regression (not runner noise) trips it.
 FLOOR_SESSIONS_PER_S = 1.2
 
 

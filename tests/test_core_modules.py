@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.core.capture import PulseCapture
+from repro.core.capture import PulseCapture, Transaction
 from repro.core.modules.axis_tracker import AxisTracker
 from repro.core.modules.edge_detect import EdgeDetector
 from repro.core.modules.homing_detect import HomingDetector
@@ -419,6 +419,20 @@ class TestRebuiltUartSnapshots:
         assert frames[1] == frames[0]
         live, _ = frames[1]
         assert [(now, t) for now, t, _frame in live] == [(t, t) for t in (1600 * MS, 1700 * MS)]
+
+    def test_append_comes_after_held_back_frames(self):
+        rows = []
+        for fast_path in (False, True):
+            sim = Simulator()
+            harness, _exporter, capture = self._bench(sim, fast_path)
+            _home_sequence(sim, harness)
+            sim.schedule_at(1 * S, harness.upstream("X_STEP").pulse)
+            sim.run(until_ns=int(1.35 * S))
+            capture.append(Transaction(99, 1, 2, 3, 4))
+            sim.run(until_ns=int(1.55 * S))
+            rows.append([(t.index, t.x, t.time_ns) for t in capture.transactions])
+        assert rows[1] == rows[0]
+        assert [index for index, _x, _t in rows[0]] == [1, 2, 3, 99, 100, 101]
 
     def test_rehoming_mid_stream(self):
         frames = []

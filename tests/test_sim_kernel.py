@@ -458,7 +458,7 @@ class TestSampleClock:
 
     PERIOD = 50
 
-    def _play(self, seed, use_clock, hand_off_at=None):
+    def _play(self, seed, use_clock, hand_off_at=None, stepping=False):
         sim = Simulator()
         log = []
         latest = [7]  # the arming instant, as clock.last_ns starts
@@ -499,6 +499,10 @@ class TestSampleClock:
         rng = random.Random(seed)
         for root in range(6):
             sim.schedule_at(rng.randint(7, 200), event, str(root), rng.random())
+        if stepping:
+            while (sim.next_event_time() or 3_001) <= 3_000:
+                sim.step()
+            return log, fired
         until = 0
         while until < 3_000:
             until += rng.randint(1, 120)
@@ -517,6 +521,13 @@ class TestSampleClock:
             now != "between" and now > 7 and (now - 7) % self.PERIOD == 0 and seen < now
             for now, _name, seen in reference
         )  # and events on an instant before it
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_step_passes_instants_as_run_does(self, seed):
+        reference, _ = self._play(seed, use_clock=False, stepping=True)
+        observed, _ = self._play(seed, use_clock=True, stepping=True)
+        assert observed == reference
+        assert len(reference) > 20
 
     @pytest.mark.parametrize("seed", range(4))
     def test_hand_off_resumes_the_task_in_its_place(self, seed):
