@@ -299,7 +299,7 @@ def check_steal(run):
         with _stragglers(straggle_cache):
             straggle = run.sweep(
                 "straggler baseline", straggle_cache,
-                hosts=2, steal=True, transport=queue + "straggle",
+                hosts=2, transport=queue + "straggle",
             )
         if straggle.requeues:
             raise SmokeFailure(
@@ -310,7 +310,7 @@ def check_steal(run):
         with _stragglers(elastic_cache), _late_joiner(queue + "elastic", elastic_cache):
             elastic = run.sweep(
                 "elastic", elastic_cache,
-                hosts=2, steal=True, transport=queue + "elastic",
+                hosts=2, transport=queue + "elastic",
             )
         late = [h for h in elastic.host_stats if h["worker"] == "late-joiner"]
         if not late or late[0]["shards"] < 1:
@@ -324,14 +324,14 @@ def check_steal(run):
                 f"{straggle.wall_clock_s:.2f}s"
             )
         repeat = run.warm_repeat(
-            elastic_cache, hosts=2, steal=True, transport=queue + "repeat"
+            elastic_cache, hosts=2, transport=queue + "repeat"
         )
     shards = "; ".join(
         f"{h['worker']}: {h['shards']} shard(s)" for h in elastic.host_stats
     )
     return [
         run.header("steal", elastic.sessions_total,
-                   f", {sum(h['shards'] for h in elastic.host_stats)} steal shards"),
+                   f", {sum(h['shards'] for h in elastic.host_stats)} shards"),
         _row("2 throttled stragglers alone", straggle.wall_clock_s),
         _row("stragglers + late joiner", elastic.wall_clock_s, f"[{shards}]"),
         repeat,

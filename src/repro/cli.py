@@ -17,8 +17,8 @@ Mirrors the workflows of the paper's tooling:
   pending scenarios across N worker hosts (subprocess workers over any
   ``--transport`` backend: a shared directory, or an HTTP shard queue on a
   ``repro serve`` instance that crosses machine boundaries with no shared mount)
-  which *score worker-side* and ship only verdict rows back, ``--steal``
-  carves many small shards so idle/late-joining hosts rebalance,
+  which *score worker-side* and ship only verdict rows back, claiming a
+  few small shards per host so idle/late-joining hosts rebalance,
   ``--workers M`` composes with ``--hosts`` for N×M total parallelism, and
   ``--csv`` / ``--html`` emit report files alongside the text table;
 * ``worker``   — serve a sweep shard queue: claim pending shards, execute
@@ -215,7 +215,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         grid=args.grid,
         hosts=args.hosts,
         transport=args.transport,
-        steal=args.steal,
         fast_path=not args.precise,
         **_batch_kwargs(args),
     )
@@ -385,13 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
         "workers join over the network, no shared mount), or "
         "memory://<name> (in-process; tests). "
         "External hosts join with `repro worker <same target>`.",
-    )
-    p.add_argument(
-        "--steal",
-        action="store_true",
-        help="distributed sweeps: carve many small shards instead of one "
-        "per host, so idle and late-joining workers steal from the shared "
-        "queue (verdicts stay byte-identical; stragglers shed load)",
     )
     p.add_argument(
         "--precise",

@@ -21,7 +21,7 @@ This module turns that shape into infrastructure:
 * :class:`BatchRunner` — fans a list of specs across worker processes
   (``concurrent.futures.ProcessPoolExecutor``), deduplicating identical
   specs within a batch and submitting longest-expected-first (see
-  :meth:`SessionSpec.estimated_cost`) so one long T7-style session cannot
+  :meth:`SessionSpec.estimated_cost`) so one long session cannot
   straggle the whole batch. With ``workers=1`` everything runs serially
   in-process through the very same execution path, so results are
   bit-identical between the serial and parallel modes.
@@ -99,13 +99,12 @@ class SessionSpec:
     def estimated_cost(self) -> float:
         """Heuristic wall-clock proxy used to schedule longest-first.
 
-        Simulation cost grows with the program length, with the UART event
-        rate, and — dominating for T7-style destructive sessions — with the
-        post-kill grace window the plant keeps integrating through. The
-        absolute scale is meaningless; only the ordering matters.
+        Simulation cost grows with the program length and with the UART
+        event rate. The absolute scale is meaningless; only the ordering
+        matters.
         """
         uart_factor = max(1.0, 100.0 / max(1, self.uart_period_ms))
-        return len(self.program) * uart_factor + self.grace_s * 40.0
+        return len(self.program) * uart_factor
 
     def content_key(self, program_digests: Optional[ProgramDigests] = None) -> str:
         """Stable digest of everything that determines the session outcome.
@@ -626,8 +625,8 @@ class BatchRunner:
 
         if self.workers > 1 and len(pending) > 1:
             # Cost-aware scheduling: submit longest-expected-first, one spec
-            # per task (chunk size 1). A T7-style long session therefore
-            # starts immediately instead of landing last in some worker's
+            # per task (chunk size 1). A long session therefore starts
+            # immediately instead of landing last in some worker's
             # pre-assigned chunk and straggling the whole batch.
             ordered = sorted(
                 pending, key=lambda item: item[1].estimated_cost(), reverse=True

@@ -46,16 +46,15 @@ Entry points:
   a sweep (point them at a shared work dir — or the coordinator's
   ``http://host:port/queues/...`` shard queue — plus a cache dir).
 
-Sharding has two modes. The default carves one LPT-balanced shard per
-host — minimal protocol traffic, but a straggler host strands its whole
-shard. With ``steal=True`` (``repro sweep --steal``) the coordinator
-instead enqueues **many small shards** (:data:`STEAL_SHARD_FACTOR` per
-host, goldens still grouped so shared golden sessions are simulated once)
-and lets elastic **work stealing** fall out of the greedy claim loop:
-whichever worker is idle — including a host that joined mid-sweep —
-claims the next shard, so stragglers shed load instead of stranding it.
-Merged results are keyed by job index either way, so verdict CSVs are
-byte-identical across every sharding × backend combination.
+Sharding has one mode: the coordinator enqueues up to
+:data:`STEAL_SHARD_FACTOR` small shards per host, numbered heaviest-first
+(see :func:`scenario_shards`: golden groups are split only to give every
+host a shard, so a shared golden is simulated at most once per host), and
+elastic **work stealing** falls out of the greedy claim loop: whichever
+worker is idle — including a host that joined mid-sweep — claims the
+heaviest pending shard, so stragglers shed load instead of stranding it.
+Merged results are keyed by job index, so verdict CSVs are byte-identical
+across every topology × backend combination.
 """
 
 from __future__ import annotations
@@ -102,7 +101,7 @@ desynchronize the checks.
 """
 
 STEAL_SHARD_FACTOR = 4
-"""Shards per host when work stealing is on (``Coordinator(steal=True)``).
+"""Most shards the :class:`Coordinator` carves per host.
 
 Small enough that per-shard protocol overhead (claims, done payloads)
 stays negligible, large enough that a straggling host strands at most
@@ -275,34 +274,37 @@ def _group_cost(jobs: Sequence[ScenarioJob]) -> float:
 
 
 def scenario_shards(
-    jobs: Sequence[ScenarioJob], bins: int
+    jobs: Sequence[ScenarioJob], hosts: int
 ) -> List[List[ScenarioJob]]:
-    """Split scenario jobs into ≤ ``bins`` cost-balanced groups.
+    """Split scenario jobs into cost-balanced groups, heaviest first.
 
-    Jobs sharing a golden print are kept together when possible (their
-    shard's :class:`BatchRunner` then simulates the golden once), but not
-    at the price of idle hosts: when there are fewer golden-groups than
-    bins, the heaviest group is split — duplicating at most one golden per
-    split, a deliberate trade of one redundant simulation for a whole
-    host's parallelism (a shared ``--cache-dir`` usually absorbs even
-    that: whichever worker finishes the golden first persists it).
+    Jobs sharing a golden print stay together: whole golden groups are
+    LPT-binned into at most ``hosts ×`` :data:`STEAL_SHARD_FACTOR` shards,
+    so each shard's :class:`BatchRunner` simulates its golden once. Only
+    while there are fewer shards than ``hosts`` is the heaviest one split,
+    duplicating one golden per split — a deliberate trade of one redundant
+    simulation for a host that would otherwise idle. The shards past
+    ``hosts`` are there to be stolen and never cost a duplicate golden.
+
+    The groups come out in non-increasing :func:`_group_cost`, so the
+    coordinator's shard ids — and with them the order workers claim in —
+    start at the most expensive shard.
     """
     if not jobs:
         return []
     groups: Dict[str, List[ScenarioJob]] = {}
     for job in jobs:
         groups.setdefault(job.golden.content_key(), []).append(job)
-    target = min(bins, len(jobs))
-    binned = _lpt_bins(list(groups.values()), target, _group_cost)
+    binned = _lpt_bins(
+        list(groups.values()), hosts * STEAL_SHARD_FACTOR, _group_cost
+    )
     shards = [[job for group in shard for job in group] for shard in binned]
-    while len(shards) < target:
+    while len(shards) < min(hosts, len(jobs)):
         splittable = [i for i, shard in enumerate(shards) if len(shard) > 1]
-        if not splittable:
-            break
         heaviest = max(splittable, key=lambda i: (_group_cost(shards[i]), -i))
         halves = _lpt_bins(shards[heaviest], 2, lambda j: j.estimated_cost())
         shards[heaviest : heaviest + 1] = halves
-    return shards
+    return sorted(shards, key=_group_cost, reverse=True)
 
 
 def sanitize_worker_id(worker_id: str) -> str:
@@ -494,7 +496,6 @@ class Coordinator:
         timeout_s: Optional[float] = None,
         workers: Optional[int] = 1,
         transport: Optional[Union[str, Transport]] = None,
-        steal: bool = False,
     ) -> None:
         self.hosts = max(1, hosts)
         self.cache = resolve_cache(cache)
@@ -505,11 +506,6 @@ class Coordinator:
         self.timeout_s = timeout_s
         self.workers = workers
         self.transport = transport
-        self.steal = steal
-
-    def _bins(self) -> int:
-        """How many shards to carve: 1/host, or many small ones to steal."""
-        return self.hosts * (STEAL_SHARD_FACTOR if self.steal else 1)
 
     # ------------------------------------------------------------------
     # Public API
@@ -601,7 +597,7 @@ class Coordinator:
             shards = {
                 index: WorkShard(shard_id=index, jobs=tuple(group))
                 for index, group in enumerate(
-                    scenario_shards(remote, self._bins())
+                    scenario_shards(remote, self.hosts)
                 )
             }
             shard_count = len(shards)

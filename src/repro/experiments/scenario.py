@@ -679,17 +679,17 @@ def run_sweep(
     shard-queue backend: ``transport`` names it — a :class:`Transport`, a
     filesystem path, ``http://host:port/queues/name``, or
     ``memory://name``; ``None`` queues through a temp dir), and
-    ``workers`` becomes the *per-host* parallelism: each worker runs its
-    shard through a parallel ``BatchRunner``, so total parallelism is
-    ``hosts × workers``. ``steal=True`` carves many small shards instead
-    of one per host, so idle and late-joining workers rebalance a
-    straggling sweep by claiming from the shared queue — verdicts are
-    byte-identical either way. The workers also *score* their scenarios
-    and ship back only verdict rows + session digests; full summaries
-    persist in the shared cache directory, written by the workers. The
-    verdicts are identical to a single-host run by construction, and the
-    result additionally carries per-host economics (``host_stats``), the
-    dead-worker re-queue count, and the ``done/`` payload byte count.
+    ``workers`` becomes the *per-host* parallelism: each worker runs every
+    shard it claims through a parallel ``BatchRunner``, so total
+    parallelism is ``hosts × workers``. The coordinator carves a few small
+    shards per host, so idle and late-joining workers rebalance a
+    straggling sweep by claiming from the shared queue. The workers also
+    *score* their scenarios and ship back only verdict rows + session
+    digests; full summaries persist in the shared cache directory, written
+    by the workers. The verdicts are identical to a single-host run by
+    construction, and the result additionally carries per-host economics
+    (``host_stats``), the dead-worker re-queue count, and the ``done/``
+    payload byte count.
 
     Sessions compile for the batched step-emission fast path by default;
     ``fast_path=False`` (CLI ``--precise``) forces the per-event reference
@@ -702,6 +702,8 @@ def run_sweep(
     The service layer (:mod:`repro.service`) streams job progress through
     it. Distributed sweeps ignore it: their workers already report forward
     progress through the work-dir heartbeat protocol.
+
+    ``steal`` is accepted and ignored: every distributed sweep steals.
     """
     resolved = resolve_cache(cache)
     before = resolved.stats() if resolved is not None else {}
@@ -730,8 +732,7 @@ def run_sweep(
             )
         ]
         scored = Coordinator(
-            hosts=hosts, cache=resolved, workers=workers,
-            transport=transport, steal=steal,
+            hosts=hosts, cache=resolved, workers=workers, transport=transport
         ).run(jobs)
         outcomes = [
             ScenarioOutcome(scenario, row.golden, row.suspect, row.verdicts)

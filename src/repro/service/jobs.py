@@ -61,6 +61,13 @@ def submission_key(
     equal keys therefore produce byte-identical verdict CSVs, which is
     what licenses answering the second one from the store.
     """
+    return _key_and_count(scenarios, fast_path)[0]
+
+
+def _key_and_count(
+    scenarios: Sequence[ScenarioSpec], fast_path: bool
+) -> Tuple[str, int]:
+    """:func:`submission_key` and the unique session count, from one compile."""
     specs = [
         spec
         for scenario in scenarios
@@ -80,7 +87,7 @@ def submission_key(
                 )
             ).encode()
         )
-    return digest.hexdigest()
+    return digest.hexdigest(), len(set(keys))
 
 
 class JobManager:
@@ -104,7 +111,9 @@ class JobManager:
             self.restart_failures = interrupted
         else:
             self.restart_failures = 0
-        self._queue: "queue.Queue[Optional[Tuple[int, Submission]]]" = queue.Queue()
+        self._queue: "queue.Queue[Optional[Tuple[int, Submission, int]]]" = (
+            queue.Queue()
+        )
         self._executor: Optional[threading.Thread] = None
         if background:
             self._executor = threading.Thread(
@@ -122,7 +131,9 @@ class JobManager:
         the app maps that to 200 vs 201.
         """
         submission = parse_submission(payload)
-        key = submission_key(submission.scenarios, submission.fast_path)
+        key, sessions_total = _key_and_count(
+            submission.scenarios, submission.fast_path
+        )
         source = self.store.find_done(key)
         if source is not None:
             job_id = self.store.create_deduped_job(
@@ -140,9 +151,9 @@ class JobManager:
             scenarios=len(submission.scenarios),
         )
         if self.background:
-            self._queue.put((job_id, submission))
+            self._queue.put((job_id, submission, sessions_total))
         else:
-            self._execute(job_id, submission)
+            self._execute(job_id, submission, sessions_total)
         return job_json(self.store.job(job_id)), True
 
     # -- execution ------------------------------------------------------
@@ -152,18 +163,12 @@ class JobManager:
             item = self._queue.get()
             if item is None:
                 return
-            job_id, submission = item
-            self._execute(job_id, submission)
+            self._execute(*item)
 
-    def _execute(self, job_id: int, submission: Submission) -> None:
+    def _execute(
+        self, job_id: int, submission: Submission, sessions_total: int
+    ) -> None:
         try:
-            pairs = [
-                compile_scenario(scenario, fast_path=submission.fast_path)
-                for scenario in submission.scenarios
-            ]
-            sessions_total = len(
-                set(content_keys(spec for pair in pairs for spec in pair))
-            )
             self.store.mark_running(job_id, sessions_total)
             effective_workers = (
                 submission.workers if self.workers is None else self.workers

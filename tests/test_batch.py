@@ -1,5 +1,6 @@
 """BatchRunner tests: spec keying, dedup, cache, failure isolation, parity."""
 
+import dataclasses
 import hashlib
 import importlib
 import os
@@ -53,6 +54,16 @@ class TestSessionSpecKeys:
 
     def test_key_changes_with_program(self, spec, standard_program):
         assert spec().content_key() != spec(program=standard_program).content_key()
+
+
+class TestEstimatedCost:
+    def test_grace_window_does_not_count(self, spec):
+        # The post-kill grace window costs little wall time (T7 sessions are
+        # among the cheapest), so it must not move a session up the order.
+        base = spec()
+        assert dataclasses.replace(base, grace_s=40.0).estimated_cost() == (
+            base.estimated_cost()
+        )
 
 
 def _reference_key(spec: SessionSpec) -> str:

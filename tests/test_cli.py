@@ -148,7 +148,7 @@ class TestExperimentOptions:
         assert _subcommand_options("sweep") == {
             "-h", "--help", "--workers", "--no-cache", "--cache-dir", "--out",
             "--grid", "--list", "--csv", "--html", "--hosts", "--transport",
-            "--steal", "--precise",
+            "--precise",
         }
 
     def test_serve_has_one_frontend(self):

@@ -4,7 +4,7 @@ The properties that make ``repro sweep --hosts N [--workers M]`` trustworthy
 (the queue backends themselves are pinned by ``test_transport_contract.py``):
 
 * cost-balanced, deterministic sharding — golden-grouped scenario LPT
-  with host-filling splits;
+  with host-filling splits, numbered heaviest-first;
 * a *version-skewed* payload fails loud at the coordinator and is skipped
   by workers instead of being executed, merged, or silently re-queued;
 * a worker executes claimed shards as one parallel failure-isolated batch,
@@ -39,6 +39,7 @@ from repro.experiments.distrib import (
     SessionDigest,
     WorkShard,
     Worker,
+    _group_cost,
     sanitize_worker_id,
     scenario_shards,
 )
@@ -95,16 +96,17 @@ def _assert_rows_match_local(rows, jobs):
 
 class TestScenarioSharding:
     def test_jobs_sharing_a_golden_stay_together(self, spec):
-        goldens = [spec(label=f"g{i}", grace_s=float(i + 1)) for i in range(4)]
+        goldens = [spec(label=f"g{i}", grace_s=float(i + 1)) for i in range(12)]
         jobs = [
-            _job(index=3 * i + j, spec=spec, golden=golden, name=f"sc{i}-{j}")
+            _job(index=2 * i + j, spec=spec, golden=golden, name=f"sc{i}-{j}")
             for i, golden in enumerate(goldens)
-            for j in range(3)
+            for j in range(2)
         ]
+        # Twelve golden groups over two hosts' eight shards.
         shards = scenario_shards(jobs, 2)
-        assert len(shards) == 2
+        assert len(shards) == 8
         assert sorted(job.index for shard in shards for job in shard) == list(
-            range(12)
+            range(24)
         )
         # No golden key appears in more than one shard.
         placements = {}
@@ -127,11 +129,37 @@ class TestScenarioSharding:
             range(6)
         )
 
+    def test_shards_past_the_hosts_never_split_a_golden(self, spec):
+        # Stealable shards past one per host are whole golden groups; a
+        # golden is split (and simulated twice) only to fill a host.
+        golden = spec(label="g")
+        alone = [_job(index=i, spec=spec, golden=golden) for i in range(9)]
+        assert len(scenario_shards(alone, 2)) == 2
+        goldens = [spec(label=f"g{i}", noise_seed=i) for i in range(3)]
+        jobs = [_job(index=i, spec=spec, golden=goldens[i % 3]) for i in range(9)]
+        shards = scenario_shards(jobs, 2)
+        assert len(shards) == 3
+        assert sorted(
+            {job.golden.content_key() for job in shard}.pop() for shard in shards
+        ) == sorted(g.content_key() for g in goldens)
+
     def test_never_more_shards_than_jobs(self, spec):
         golden = spec(label="g")
         jobs = [_job(index=i, spec=spec, golden=golden) for i in range(2)]
         assert len(scenario_shards(jobs, 8)) == 2
         assert scenario_shards([], 4) == []
+
+    def test_shards_come_out_heaviest_first(self, spec):
+        # Distinct UART rates give the suspects distinct costs; shard ids
+        # (and so the claim order) must run from the costliest group down.
+        goldens = [spec(label=f"g{i}", noise_seed=i) for i in range(3)]
+        jobs = [
+            _job(i, spec, golden=goldens[i % 3], uart_period_ms=10 * (i + 1))
+            for i in range(9)
+        ]
+        costs = [_group_cost(shard) for shard in scenario_shards(jobs, 4)]
+        assert len(set(costs)) == 4
+        assert costs == sorted(costs, reverse=True)
 
     def test_deterministic(self, spec):
         jobs = [_job(index=i, spec=spec) for i in range(5)]
@@ -571,8 +599,8 @@ class TestTransportFaultInjection:
         queue slowly; a worker that joins mid-sweep claims from the same
         queue and demonstrably takes shards off the straggler's plate —
         and the merged result still matches the serial run."""
-        golden = spec(label="shared/golden")
-        jobs = [_job(i, spec, golden=golden) for i in range(8)]
+        goldens = [spec(label=f"shared/golden{g}", noise_seed=g) for g in range(4)]
+        jobs = [_job(i, spec, golden=goldens[i % 4]) for i in range(8)]
         queue = InMemoryTransport.named("steal-late-joiner")
         queue.reset()
         cache = sweep_env.cache()
@@ -591,7 +619,6 @@ class TestTransportFaultInjection:
 
         coordinator = Coordinator(
             hosts=2,
-            steal=True,
             spawn_local=False,
             transport=queue,
             cache=cache,
@@ -606,7 +633,7 @@ class TestTransportFaultInjection:
         result = coordinator.run(jobs)
         for thread in threads:
             thread.join(timeout=120)
-        # Steal sharding actually split the work finer than one-per-host.
+        # Four golden groups make four shards: finer than one per host.
         assert result.shards > 2
         assert executed["straggler"] >= 1
         assert executed["late"] >= 1, "the late joiner never stole a shard"

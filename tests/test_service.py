@@ -47,6 +47,7 @@ from repro.service import (
     create_app,
     submission_key,
 )
+from repro.service.schemas import parse_submission
 
 
 def scenario_payload(spec) -> dict:
@@ -245,6 +246,44 @@ def test_submission_key_tracks_content(tiny_grid):
     assert submission_key([replace(tiny_grid[0], margin=0.2), tiny_grid[1]]) != base
     assert submission_key([replace(tiny_grid[0], seed=7), tiny_grid[1]]) != base
     assert submission_key(tiny_grid, fast_path=False) != base
+
+
+def test_job_compiles_each_scenario_twice(service_env, tmp_path, monkeypatch):
+    """``submit`` compiles once for the key and the session count, the sweep
+    once more; a deduped resubmit only compiles for the key."""
+    import repro.experiments.scenario as scenario_mod
+    import repro.service.jobs as jobs_mod
+
+    payload = service_env["payload"]
+    scenarios = len(payload["scenarios"])
+    compiled = []
+    real = scenario_mod.compile_scenario
+
+    def counting(scenario, **kwargs):
+        compiled.append(scenario.name)
+        return real(scenario, **kwargs)
+
+    manager = JobManager(
+        JobStore(str(tmp_path / "jobs.sqlite3")),
+        cache=service_env["cache_dir"],
+        background=False,
+    )
+    key = submission_key(parse_submission(payload).scenarios)
+    monkeypatch.setattr(jobs_mod, "compile_scenario", counting)
+    monkeypatch.setattr(scenario_mod, "compile_scenario", counting)
+
+    job, created = manager.submit(payload)
+    assert created and job["state"] == DONE
+    assert len(compiled) == 2 * scenarios
+    assert job["sessions_total"] == service_env["sessions"]
+    assert job["submission_key"] == key
+
+    compiled.clear()
+    again, created = manager.submit(payload)
+    assert not created and again["deduped_from"] == job["id"]
+    assert len(compiled) == scenarios
+    assert again["submission_key"] == key
+    manager.close()
 
 
 # -- store durability ---------------------------------------------------
