@@ -21,7 +21,7 @@ from repro.experiments.scenario import (
     flaw3d_reduction_attack,
     flaw3d_relocation_attack,
     register_program_part,
-    run_scenarios,
+    run_sweep,
 )
 from repro.gcode.ast import GcodeProgram
 
@@ -81,10 +81,10 @@ def run_ablation(
     """Sweep UART periods and margins on the stealthiest Trojans.
 
     Thin grid over the scenario layer: every (period × {control, suspects})
-    scenario compiles up front and the whole grid runs as one flat batch.
-    Margins are a pure scoring axis — each margin re-scores the same
-    summaries through a fresh ``golden`` Detector with the end-of-print
-    check disabled.
+    scenario compiles up front and the whole grid runs as one flat,
+    unscored batch (any failed session raises). Margins are a pure scoring
+    axis — each margin re-scores the same summaries through a fresh
+    ``golden`` Detector with the end-of-print check disabled.
     """
     part = "tiny" if program is None else register_program_part(program)
     stealthy = [
@@ -99,6 +99,7 @@ def run_ablation(
                 name=f"control@{period_ms}ms",
                 part=part,
                 attack=None,
+                detectors=(),
                 seed=ABLATION_CONTROL_SEED,
                 golden_seed=ABLATION_GOLDEN_SEED,
                 noise_sigma=noise_sigma,
@@ -111,13 +112,14 @@ def run_ablation(
                     name=f"{name}@{period_ms}ms",
                     part=part,
                     attack=attack,
+                    detectors=(),
                     seed=9100 + i,
                     golden_seed=ABLATION_GOLDEN_SEED,
                     noise_sigma=noise_sigma,
                     uart_period_ms=period_ms,
                 )
             )
-    runs = run_scenarios(scenarios, workers=workers, cache=cache)
+    runs = run_sweep(scenarios, workers=workers, cache=cache).raise_on_failure().outcomes
     per_period = len(stealthy) + 1
 
     cells: List[AblationCell] = []

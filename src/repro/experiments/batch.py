@@ -70,6 +70,19 @@ from repro.util import atomic_pickle
 ProgramDigests = Dict[int, Tuple[GcodeProgram, Any]]
 
 
+def program_sha256(program: GcodeProgram) -> Any:
+    """A sha256 object fed the program's rendered lines, one newline after each.
+
+    The one program hash: session content keys continue from a copy of it,
+    and ad-hoc part names are cut from its hex digest.
+    """
+    digest = hashlib.sha256()
+    for line in map(write_line, program):
+        digest.update(line.encode())
+        digest.update(b"\n")
+    return digest
+
+
 @dataclass(frozen=True)
 class SessionSpec:
     """A self-contained, picklable description of one print session.
@@ -130,12 +143,11 @@ class SessionSpec:
             program_digests = {}
         entry = program_digests.get(id(self.program))
         if entry is None:
-            rendered = hashlib.sha256()
-            for line in map(write_line, self.program):
-                rendered.update(line.encode())
-                rendered.update(b"\n")
             # The program rides along so its id cannot be reused mid-pass.
-            entry = program_digests[id(self.program)] = (self.program, rendered)
+            entry = program_digests[id(self.program)] = (
+                self.program,
+                program_sha256(self.program),
+            )
         digest = entry[1].copy()
         digest.update(repr(self.config).encode())
         params = sorted((str(k), repr(v)) for k, v in self.trojan_params.items())
@@ -706,12 +718,17 @@ def run_sessions(
     """
     summaries = BatchRunner(workers=workers, cache=cache).run(specs, progress=progress)
     if strict:
-        failures = [s for s in summaries if s.failed]
-        if failures:
-            details = "; ".join(
-                f"{s.label or s.spec_key[:12]}: {s.error}" for s in failures[:5]
-            )
-            raise ReproError(
-                f"{len(failures)} of {len(summaries)} sessions failed: {details}"
-            )
+        raise_failures(summaries)
     return summaries
+
+
+def raise_failures(summaries: Sequence[SessionSummary]) -> None:
+    """Raise :class:`ReproError` naming the first failed sessions, if any."""
+    failures = [s for s in summaries if s.failed]
+    if failures:
+        details = "; ".join(
+            f"{s.label or s.spec_key[:12]}: {s.error}" for s in failures[:5]
+        )
+        raise ReproError(
+            f"{len(failures)} of {len(summaries)} sessions failed: {details}"
+        )

@@ -216,8 +216,8 @@ class ShardResult:
     """What a worker ships back for one executed shard.
 
     ``rows`` holds one :class:`ScenarioVerdicts` per job; ``sessions`` is
-    the number of unique sessions the worker handled for this shard (for
-    per-host economics).
+    the number of sessions the worker ran for this shard, sessions served
+    from its cache excluded (for per-host economics).
     """
 
     shard_id: int
@@ -352,6 +352,7 @@ class Worker:
         # Pending shards whose wire format this worker cannot speak: left in
         # the queue for a compatible worker, never re-claimed, never executed.
         self._incompatible: Set[int] = set()
+        self._completed = 0  # sessions run for the shard in flight
 
     def run(self) -> int:
         """Serve the queue until STOP (or idle timeout); returns shards done."""
@@ -403,7 +404,8 @@ class Worker:
         return None
 
     def _beat(self, _summary: SessionSummary) -> None:
-        """Per-completed-session progress hook → coordinator-visible beat."""
+        """Per-ran-session progress hook (cache hits skip it): count, beat."""
+        self._completed += 1
         self.work.beat(self.worker_id)
 
     def execute(self, claim: Claim) -> ShardResult:
@@ -411,6 +413,7 @@ class Worker:
         # repro: lint-ignore[DET003] shard wall-clock economics (host_stats reporting), never verdict content
         started = time.perf_counter()
         self.work.beat(self.worker_id)
+        self._completed = 0
         jobs = claim.shard.jobs
         specs = [spec for job in jobs for spec in (job.golden, job.suspect)]
         executed = self.runner.run(specs, progress=self._beat)
@@ -427,7 +430,7 @@ class Worker:
             worker_id=self.worker_id,
             wall_clock_s=time.perf_counter() - started,  # repro: lint-ignore[DET003] economics
             rows=rows,
-            sessions=len({spec.content_key() for spec in specs}),
+            sessions=self._completed,
         )
         self.work.complete(claim, result)
         return result

@@ -4,10 +4,11 @@ The paper's central claim — lossless control-signal access lets one platform
 analyze *any* trojan against *any* print — becomes a first-class workload
 here. A :class:`ScenarioSpec` names a registered part, an optional registered
 attack (an FPGA Trojan T1–T9 or a G-code rewrite such as Flaw3D/dr0wned), a
-detector set, and seeds; it *compiles down* to the existing picklable
-:class:`~repro.experiments.batch.SessionSpec` pair (golden + suspect), so an
-entire grid of scenarios executes as one flat :class:`BatchRunner` batch —
-deduplicated, cache-backed, and cost-scheduled.
+detector set, and seeds; :func:`compile_sweep` compiles a grid once into a
+:class:`SweepPlan` of (golden, suspect) session pairs, keyed and scored by
+recipe, which :func:`run_sweep` — the one executor — runs as one flat
+:class:`BatchRunner` batch (deduplicated, cache-backed, cost-scheduled) or
+shards across hosts; the service keys and runs a submission from one plan.
 
 Three registries make the space enumerable:
 
@@ -33,7 +34,6 @@ the golden summary and score the suspect, yielding normalized
 
 from __future__ import annotations
 
-import hashlib
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -45,9 +45,12 @@ from repro.experiments.batch import (
     SessionSpec,
     SessionSummary,
     content_keys,
+    program_sha256,
+    raise_failures,
     resolve_cache,
     run_sessions,
 )
+from repro.experiments.distrib import Coordinator, ScenarioJob
 from repro.experiments.transport import Transport
 from repro.experiments.workloads import (
     dense_part,
@@ -61,7 +64,6 @@ from repro.gcode.ast import GcodeProgram
 from repro.gcode.slicer.shapes import Shape
 from repro.gcode.transforms.edits import insert_void
 from repro.gcode.transforms.flaw3d import Flaw3dReduction, Flaw3dRelocation
-from repro.gcode.writer import write_line
 
 DEFAULT_NOISE_SIGMA = 0.0005
 """The time-noise sigma used by the detection experiments."""
@@ -128,14 +130,6 @@ def part_shape(name: str) -> Optional[Shape]:
     return part.shape() if part.shape is not None else None
 
 
-def _program_digest(program: GcodeProgram) -> str:
-    digest = hashlib.sha256()
-    for line in map(write_line, program):
-        digest.update(line.encode())
-        digest.update(b"\n")
-    return digest.hexdigest()
-
-
 def register_program_part(program: GcodeProgram, name: Optional[str] = None) -> str:
     """Register an ad-hoc program (e.g. a caller-supplied workload) as a part.
 
@@ -146,11 +140,11 @@ def register_program_part(program: GcodeProgram, name: Optional[str] = None) -> 
     *different* program under an already-taken name is an error — silently
     resolving to the old program would make scenarios print the wrong part.
     """
-    content = _program_digest(program)
+    content = program_sha256(program).hexdigest()
     if name is None:
         name = f"custom-{content[:12]}"
     if name in PARTS or name in _ADHOC_PARTS:
-        if _program_digest(part_program(name)) != content:
+        if program_sha256(part_program(name)).hexdigest() != content:
             raise ReproError(
                 f"part name {name!r} is already registered with different content"
             )
@@ -441,68 +435,57 @@ def compile_scenario(
     return golden, suspect
 
 
-@dataclass
-class ScenarioRun:
-    """A scenario's executed sessions, before detector scoring."""
+@dataclass(frozen=True)
+class SweepPlan:
+    """A scenario grid compiled and keyed once, for every executor to read.
 
-    scenario: ScenarioSpec
-    golden: SessionSummary
-    suspect: SessionSummary
+    ``jobs[i]`` is ``scenarios[i]`` as worker-executable work; ``keys``
+    holds every session's content key, golden then suspect per job.
+    """
+
+    scenarios: Tuple[ScenarioSpec, ...]
+    jobs: Tuple[ScenarioJob, ...]
+    keys: Tuple[str, ...]
+
+    @property
+    def specs(self) -> List[SessionSpec]:
+        """Every job's (golden, suspect) sessions, flattened in order."""
+        return [spec for job in self.jobs for spec in (job.golden, job.suspect)]
+
+    @property
+    def sessions_total(self) -> int:
+        """Unique sessions: a golden shared by several scenarios counts once."""
+        return len(set(self.keys))
 
 
-def _compile_all(
+def compile_sweep(
     scenarios: Sequence[ScenarioSpec], fast_path: bool = True
-) -> List[SessionSpec]:
-    """Every scenario's (golden, suspect) specs, flattened in order."""
-    specs: List[SessionSpec] = []
-    for scenario in scenarios:
-        specs.extend(compile_scenario(scenario, fast_path=fast_path))
-    return specs
+) -> SweepPlan:
+    """Compile a scenario grid to a :class:`SweepPlan` in one pass.
 
-
-def _pair_runs(
-    scenarios: Sequence[ScenarioSpec], summaries: Sequence[SessionSummary]
-) -> List[ScenarioRun]:
-    """Re-pair a flat summary batch with the scenarios that compiled it."""
-    return [
-        ScenarioRun(scenario, summaries[2 * i], summaries[2 * i + 1])
-        for i, scenario in enumerate(scenarios)
-    ]
-
-
-def run_scenarios(
-    scenarios: Sequence[ScenarioSpec],
-    workers: Optional[int] = 1,
-    cache: CacheOption = None,
-    fast_path: bool = True,
-) -> List[ScenarioRun]:
-    """Execute every scenario's sessions as one flat deduplicated batch.
-
-    Strict: a session whose execution raised aborts the call (preserving
-    this API's pre-failure-isolation contract). Callers here — table1,
-    ablation — score the returned summaries directly; a FAILED stub with
-    an empty capture would read as a maximal mismatch and masquerade as a
-    TROJAN verdict. :func:`run_sweep` handles failures as reportable rows
-    instead.
+    Each scenario goes through :func:`compile_scenario` once, and every
+    session is keyed in one :func:`~repro.experiments.batch.content_keys`
+    pass, so sessions sharing a sliced part hash its program once. This is
+    the only place a detector set becomes a :class:`ScoreSpec`, so serial
+    and worker-side scoring are the same computation by definition.
     """
-    summaries = run_sessions(
-        _compile_all(scenarios, fast_path=fast_path),
-        workers=workers,
-        cache=cache,
-        strict=True,
-    )
-    return _pair_runs(scenarios, summaries)
-
-
-def scenario_score_spec(scenario: ScenarioSpec) -> ScoreSpec:
-    """The scenario's scoring recipe as a picklable :class:`ScoreSpec`.
-
-    This is the *only* place a scenario's detector set is turned into
-    detector constructions (margin threaded into the margin-based
-    detectors, defaults elsewhere), so serial sweeps and worker-side
-    scoring in distributed sweeps are the same computation by definition.
-    """
-    return ScoreSpec.for_detectors(scenario.detectors, margin=scenario.margin)
+    scenarios = tuple(scenarios)
+    jobs = []
+    for index, scenario in enumerate(scenarios):
+        golden, suspect = compile_scenario(scenario, fast_path=fast_path)
+        jobs.append(
+            ScenarioJob(
+                index=index,
+                name=scenario.name,
+                golden=golden,
+                suspect=suspect,
+                score=ScoreSpec.for_detectors(
+                    scenario.detectors, margin=scenario.margin
+                ),
+            )
+        )
+    keys = content_keys(spec for job in jobs for spec in (job.golden, job.suspect))
+    return SweepPlan(scenarios=scenarios, jobs=tuple(jobs), keys=tuple(keys))
 
 
 @dataclass
@@ -575,6 +558,16 @@ class SweepResult:
     def failed_outcomes(self) -> List[ScenarioOutcome]:
         return [o for o in self.outcomes if o.failed]
 
+    def raise_on_failure(self) -> "SweepResult":
+        """Raise :class:`ReproError` if any session failed; else return self.
+
+        For callers that score the summaries themselves (Table I, the
+        ablation): a FAILED stub with an empty capture would read as a
+        maximal mismatch and masquerade as a TROJAN.
+        """
+        raise_failures([s for o in self.outcomes for s in (o.golden, o.suspect)])
+        return self
+
     @property
     def attacks_detected(self) -> int:
         return sum(1 for o in self.attack_outcomes if o.detected)
@@ -643,20 +636,8 @@ class SweepResult:
         return "\n".join(lines)
 
 
-def _score_run(run: ScenarioRun) -> Dict[str, Verdict]:
-    """One scenario's verdicts — or failure placeholders when unscoreable.
-
-    Delegates to the scenario's :class:`ScoreSpec` (the exact recipe a
-    distribution worker would receive), including its FAILED-session
-    handling: a session whose execution raised becomes a non-detection
-    verdict carrying the failure text, so the sweep renders the failure as
-    a row instead of dying on a stack trace mid-scoring.
-    """
-    return scenario_score_spec(run.scenario).score_pair(run.golden, run.suspect)
-
-
 def run_sweep(
-    scenarios: Sequence[ScenarioSpec],
+    scenarios: Union[Sequence[ScenarioSpec], SweepPlan],
     workers: Optional[int] = 1,
     cache: CacheOption = None,
     grid: str = "",
@@ -668,25 +649,27 @@ def run_sweep(
 ) -> SweepResult:
     """Execute and score a scenario grid: one batch, then detector verdicts.
 
+    ``scenarios`` is a scenario list, compiled here by
+    :func:`compile_sweep`, or a :class:`SweepPlan` compiled earlier for the
+    same ``fast_path`` (a mismatch raises :class:`ReproError`).
+
     With a persistent cache the run is *incremental*: only sessions whose
     summaries are not already cached are simulated, so repeating a sweep is
     a zero-resimulation no-op and growing a grid pays only for its delta.
     The returned result carries the cache hit/miss accounting and wall clock
     that the CSV/HTML reports (:mod:`repro.experiments.report`) surface.
 
-    With ``hosts > 1`` the sweep distributes via
-    :mod:`repro.experiments.distrib` (subprocess workers over a pluggable
-    shard-queue backend: ``transport`` names it — a :class:`Transport`, a
-    filesystem path, ``http://host:port/queues/name``, or
-    ``memory://name``; ``None`` queues through a temp dir), and
-    ``workers`` becomes the *per-host* parallelism: each worker runs every
-    shard it claims through a parallel ``BatchRunner``, so total
-    parallelism is ``hosts × workers``. The coordinator carves a few small
-    shards per host, so idle and late-joining workers rebalance a
-    straggling sweep by claiming from the shared queue. The workers also
-    *score* their scenarios and ship back only verdict rows + session
-    digests; full summaries persist in the shared cache directory, written
-    by the workers. The verdicts are identical to a single-host run by
+    With ``hosts > 1`` the plan's jobs go to the
+    :class:`~repro.experiments.distrib.Coordinator` (subprocess workers
+    over a pluggable shard-queue backend: ``transport`` names it — a
+    :class:`Transport`, a filesystem path, ``http://host:port/queues/name``,
+    or ``memory://name``; ``None`` queues through a temp dir), and
+    ``workers`` becomes the *per-host* parallelism, so total parallelism
+    is ``hosts × workers``. Idle and late-joining workers rebalance a
+    straggling sweep by claiming from the shared queue. The workers score
+    their scenarios and ship back only verdict rows + session digests;
+    full summaries persist in the shared cache directory, written by the
+    workers. The verdicts are identical to a single-host run by
     construction, and the result additionally carries per-host economics
     (``host_stats``), the dead-worker re-queue count, and the ``done/``
     payload byte count.
@@ -705,11 +688,16 @@ def run_sweep(
 
     ``steal`` is accepted and ignored: every distributed sweep steals.
     """
+    if isinstance(scenarios, SweepPlan):
+        plan = scenarios
+        if any(spec.fast_path != fast_path for spec in plan.specs):
+            raise ReproError(
+                f"the sweep plan was not compiled with fast_path={fast_path}"
+            )
+    else:
+        plan = compile_sweep(scenarios, fast_path=fast_path)
     resolved = resolve_cache(cache)
     before = resolved.stats() if resolved is not None else {}
-    pairs = [compile_scenario(scenario, fast_path=fast_path) for scenario in scenarios]
-    specs = [spec for pair in pairs for spec in pair]
-    unique_keys = set(content_keys(specs))
     # repro: lint-ignore[DET003] sweep wall-clock reporting (wall_clock_s column), never verdict content
     started = time.perf_counter()
     host_stats: List[Dict[str, Any]] = []
@@ -717,26 +705,12 @@ def run_sweep(
     payload_bytes = 0
     simulated_override: Optional[int] = None
     if hosts and hosts > 1:
-        from repro.experiments.distrib import Coordinator, ScenarioJob
-
-        jobs = [
-            ScenarioJob(
-                index=index,
-                name=scenario.name,
-                golden=golden,
-                suspect=suspect,
-                score=scenario_score_spec(scenario),
-            )
-            for index, (scenario, (golden, suspect)) in enumerate(
-                zip(scenarios, pairs)
-            )
-        ]
         scored = Coordinator(
             hosts=hosts, cache=resolved, workers=workers, transport=transport
-        ).run(jobs)
+        ).run(plan.jobs)
         outcomes = [
             ScenarioOutcome(scenario, row.golden, row.suspect, row.verdicts)
-            for scenario, row in zip(scenarios, scored.rows)
+            for scenario, row in zip(plan.scenarios, scored.rows)
         ]
         host_stats = scored.host_stats
         requeues = scored.requeues
@@ -747,12 +721,18 @@ def run_sweep(
         simulated_override = scored.sessions_dispatched
     else:
         summaries = run_sessions(
-            specs, workers=workers, cache=resolved, progress=progress
+            plan.specs, workers=workers, cache=resolved, progress=progress
         )
-        runs = _pair_runs(scenarios, summaries)
+        # Scored through the job's ScoreSpec, the recipe a distribution
+        # worker would receive; a FAILED session becomes a non-detection
+        # verdict carrying its failure text, never a stack trace.
         outcomes = [
-            ScenarioOutcome(run.scenario, run.golden, run.suspect, _score_run(run))
-            for run in runs
+            ScenarioOutcome(
+                scenario, golden, suspect, job.score.score_pair(golden, suspect)
+            )
+            for scenario, job, golden, suspect in zip(
+                plan.scenarios, plan.jobs, summaries[0::2], summaries[1::2]
+            )
         ]
     wall_clock_s = time.perf_counter() - started  # repro: lint-ignore[DET003] reporting only
     after = resolved.stats() if resolved is not None else {}
@@ -770,8 +750,8 @@ def run_sweep(
         cache_hits=after.get("hits", 0) - before.get("hits", 0),
         cache_misses=misses,
         cache_disk_hits=after.get("disk_hits", 0) - before.get("disk_hits", 0),
-        sessions_total=len(unique_keys),
-        sessions_simulated=misses if resolved is not None else len(unique_keys),
+        sessions_total=plan.sessions_total,
+        sessions_simulated=misses if resolved is not None else plan.sessions_total,
         sessions_failed=len(failed_keys),
         wall_clock_s=wall_clock_s,
         grid=grid,

@@ -20,7 +20,7 @@ T9   mean fan duty collapses vs the golden print
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
 from repro.core.trojans import make_trojan
@@ -30,7 +30,7 @@ from repro.experiments.scenario import (
     TABLE1_TROJAN_PARAMS,
     TROJAN_IDS,
     get_attack,
-    run_scenarios,
+    run_sweep,
     trojan_scenarios,
 )
 from repro.experiments.workloads import sliced_program, table1_part
@@ -95,7 +95,8 @@ def run_trojan_session(
     """Run the Table I workload with one Trojan enabled (None = golden T0).
 
     Returns the live :class:`SessionResult`; the batched Table I pipeline
-    itself goes through :func:`table1_spec` + :func:`run_sessions`.
+    itself (:func:`run_table1`) runs the ``table1`` grid through
+    :func:`~repro.experiments.scenario.run_sweep`.
     """
     if program is None:
         program = sliced_program(table1_part())
@@ -202,11 +203,14 @@ def run_table1(
     Thin grid over the scenario layer: the nine ``table1``-grid scenarios
     compile to the same ten sessions as ever (the shared golden print
     deduplicates within the batch) and ``workers>1`` fans them across
-    processes.
+    processes. They run unscored (no detectors): the rows below score
+    the summaries, so any failed session raises.
     """
-    runs = run_scenarios(
-        trojan_scenarios(parts=("table1",), seed=seed), workers=workers, cache=cache
-    )
+    scenarios = [
+        replace(scenario, detectors=())
+        for scenario in trojan_scenarios(parts=("table1",), seed=seed)
+    ]
+    runs = run_sweep(scenarios, workers=workers, cache=cache).raise_on_failure().outcomes
     golden = runs[0].golden
     golden_quality = compare_traces(golden.trace, golden.trace)
 

@@ -3,16 +3,18 @@
 :class:`JobManager` is the one code path the WSGI app, the tests and
 the smoke script drive. It owns
 
-* **the dedup contract** — a submission is content-keyed
-  (:func:`submission_key` folds every compiled session's content key with
-  the scenario names and scoring recipe), and a key the store has already
+* **the dedup contract** — a submission compiles once, to one
+  :class:`~repro.experiments.scenario.SweepPlan`, and is content-keyed
+  from it (:func:`submission_key` folds every compiled session's content
+  key with the scenario names and scoring recipe); a key the store has already
   completed is answered *from the store*: the new job is born ``done``
   with 0 sessions simulated and its verdict rows are the original's. This
   is the across-users analogue of the session cache — identical work is
   never re-simulated, whoever submits it;
 * **execution** — jobs run through the very same
   :func:`repro.experiments.scenario.run_sweep` the CLI calls (no parallel
-  service-only path to drift), on a single background executor thread
+  service-only path to drift), fed the plan the key came from, on a
+  single background executor thread
   (FIFO, like the distribution coordinator's queue discipline), with the
   batch runner's per-completed-session ``progress`` callback ticking the
   store's ``sessions_done`` counter so polling clients see live progress;
@@ -35,47 +37,30 @@ import json
 import queue
 import threading
 import time
-from typing import Any, Dict, Iterator, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, Optional, Tuple
 
 from repro.errors import ReproError
-from repro.experiments.batch import CacheOption, content_keys, resolve_cache
+from repro.experiments.batch import CacheOption, resolve_cache
 from repro.experiments.report import summary_stats, sweep_rows
-from repro.experiments.scenario import (
-    ScenarioSpec,
-    compile_scenario,
-    run_sweep,
-)
+from repro.experiments.scenario import SweepPlan, compile_sweep, run_sweep
 from repro.service.schemas import Submission, job_json, parse_submission
 from repro.service.store import DONE, FAILED, JobStore
 
 
-def submission_key(
-    scenarios: Sequence[ScenarioSpec], fast_path: bool = True
-) -> str:
+def submission_key(plan: SweepPlan) -> str:
     """Content digest of everything that determines a submission's rows.
 
-    Folds, per scenario: its name (a CSV column), both compiled sessions'
-    content keys (program, attack config, seeds, firmware, sim parameters
-    — :meth:`SessionSpec.content_key` is the established physics digest),
-    and the scoring recipe (detector set + margin). Two submissions with
-    equal keys therefore produce byte-identical verdict CSVs, which is
-    what licenses answering the second one from the store.
+    Folds, per scenario of the compiled plan: its name (a CSV column), both
+    sessions' content keys (program, attack config, seeds, firmware, sim
+    parameters — :meth:`SessionSpec.content_key` is the established physics
+    digest), and the scoring recipe (detector set + margin). Two
+    submissions with equal keys therefore produce byte-identical verdict
+    CSVs, which is what licenses answering the second one from the store.
     """
-    return _key_and_count(scenarios, fast_path)[0]
-
-
-def _key_and_count(
-    scenarios: Sequence[ScenarioSpec], fast_path: bool
-) -> Tuple[str, int]:
-    """:func:`submission_key` and the unique session count, from one compile."""
-    specs = [
-        spec
-        for scenario in scenarios
-        for spec in compile_scenario(scenario, fast_path=fast_path)
-    ]
-    keys = content_keys(specs)
     digest = hashlib.sha256()
-    for scenario, golden_key, suspect_key in zip(scenarios, keys[0::2], keys[1::2]):
+    for scenario, golden_key, suspect_key in zip(
+        plan.scenarios, plan.keys[0::2], plan.keys[1::2]
+    ):
         digest.update(
             repr(
                 (
@@ -87,7 +72,7 @@ def _key_and_count(
                 )
             ).encode()
         )
-    return digest.hexdigest(), len(set(keys))
+    return digest.hexdigest()
 
 
 class JobManager:
@@ -111,7 +96,7 @@ class JobManager:
             self.restart_failures = interrupted
         else:
             self.restart_failures = 0
-        self._queue: "queue.Queue[Optional[Tuple[int, Submission, int]]]" = (
+        self._queue: "queue.Queue[Optional[Tuple[int, Submission, SweepPlan]]]" = (
             queue.Queue()
         )
         self._executor: Optional[threading.Thread] = None
@@ -131,9 +116,8 @@ class JobManager:
         the app maps that to 200 vs 201.
         """
         submission = parse_submission(payload)
-        key, sessions_total = _key_and_count(
-            submission.scenarios, submission.fast_path
-        )
+        plan = compile_sweep(submission.scenarios, fast_path=submission.fast_path)
+        key = submission_key(plan)
         source = self.store.find_done(key)
         if source is not None:
             job_id = self.store.create_deduped_job(
@@ -151,9 +135,9 @@ class JobManager:
             scenarios=len(submission.scenarios),
         )
         if self.background:
-            self._queue.put((job_id, submission, sessions_total))
+            self._queue.put((job_id, submission, plan))
         else:
-            self._execute(job_id, submission, sessions_total)
+            self._execute(job_id, submission, plan)
         return job_json(self.store.job(job_id)), True
 
     # -- execution ------------------------------------------------------
@@ -165,16 +149,14 @@ class JobManager:
                 return
             self._execute(*item)
 
-    def _execute(
-        self, job_id: int, submission: Submission, sessions_total: int
-    ) -> None:
+    def _execute(self, job_id: int, submission: Submission, plan: SweepPlan) -> None:
         try:
-            self.store.mark_running(job_id, sessions_total)
+            self.store.mark_running(job_id, plan.sessions_total)
             effective_workers = (
                 submission.workers if self.workers is None else self.workers
             )
             result = run_sweep(
-                list(submission.scenarios),
+                plan,
                 workers=effective_workers,
                 cache=self.cache,
                 grid=submission.grid,

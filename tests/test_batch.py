@@ -19,7 +19,7 @@ from repro.experiments.batch import (
     shared_cache,
     summarize_result,
 )
-from repro.experiments.scenario import compile_scenario, grid_scenarios
+from repro.experiments.scenario import compile_scenario, compile_sweep, grid_scenarios
 from repro.firmware.marlin import PrinterStatus
 from repro.gcode.writer import write_line
 
@@ -94,17 +94,25 @@ def _reference_key(spec: SessionSpec) -> str:
     return digest.hexdigest()
 
 
-def _swept_specs(monkeypatch):
-    """Every spec of the smoke and full grids and perfbench's two scenario sets."""
+def _swept_scenarios(monkeypatch):
+    """The smoke and full grids and perfbench's two scenario sets."""
     monkeypatch.syspath_prepend(os.path.join(REPO_ROOT, "perfbench"))
     workloads = importlib.import_module("workloads")
-    scenarios = (
+    return (
         grid_scenarios("smoke")
         + grid_scenarios("full")
         + workloads.mix_scenarios(0)
         + workloads.steal_scenarios(0)
     )
-    return [spec for scenario in scenarios for spec in compile_scenario(scenario)]
+
+
+def _swept_specs(monkeypatch):
+    """Every spec of :func:`_swept_scenarios`."""
+    return [
+        spec
+        for scenario in _swept_scenarios(monkeypatch)
+        for spec in compile_scenario(scenario)
+    ]
 
 
 class TestContentKeyPass:
@@ -118,6 +126,10 @@ class TestContentKeyPass:
         # (to workers and shards) and carry their key across.
         for spec, key in zip(specs, reference):
             assert pickle.loads(pickle.dumps(spec)).content_key() == key
+
+    def test_compiled_sweep_keys_match_per_spec_hashing(self, monkeypatch):
+        plan = compile_sweep(_swept_scenarios(monkeypatch))
+        assert list(plan.keys) == [_reference_key(spec) for spec in plan.specs]
 
     def test_specs_sharing_a_program_share_one_table_entry(self, spec):
         first, second = spec(noise_seed=1), spec(noise_seed=2)

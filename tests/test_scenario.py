@@ -21,6 +21,7 @@ from repro.experiments.scenario import (
     ScenarioSpec,
     clean_scenarios,
     compile_scenario,
+    compile_sweep,
     flaw3d_scenarios,
     get_attack,
     get_part,
@@ -29,7 +30,6 @@ from repro.experiments.scenario import (
     part_names,
     part_program,
     register_program_part,
-    run_scenarios,
     run_sweep,
 )
 
@@ -68,6 +68,11 @@ class TestRegistries:
         assert name1 == name2
         assert part_program(name1) is tiny_program
         assert get_part(name1).shape is None
+
+    def test_adhoc_part_names_are_stable(self):
+        # The name is cut from the program hash; a change to that hash
+        # would orphan every cached session of an ad-hoc part.
+        assert register_program_part(part_program("tiny")) == "custom-006a5b3a5602"
 
     def test_adhoc_parts_stay_out_of_grid_enumeration(self, tiny_program):
         # A caller-supplied workload (run_table2(program=...)) must never
@@ -123,8 +128,8 @@ class TestCompilation:
         assert golden.program is suspect.program
 
     def test_trojan_scenario_matches_legacy_table1_spec(self):
-        # Content-key equality == the sweep shares cached sessions with the
-        # legacy run_table1 path.
+        # table1_spec builds the Table I sessions by hand; content-key
+        # equality shows the scenario compiler yields the same sessions.
         from repro.experiments.table1 import table1_spec
 
         program = part_program("table1")
@@ -273,16 +278,10 @@ class TestSweepEngine:
         assert "2/2 attacks detected" in text
         assert "0 false positives" in text
 
-    def test_run_scenarios_pairs_summaries(self, small_grid):
-        runs = run_scenarios(small_grid[:1], cache=GoldenPrintCache())
-        assert len(runs) == 1
-        assert runs[0].golden.completed and runs[0].suspect.completed
-        assert runs[0].golden.transactions != runs[0].suspect.transactions
-
-    def test_run_scenarios_is_strict_about_failed_sessions(self):
-        # Callers of this API score summaries directly; a FAILED stub with
-        # an empty capture would masquerade as a TROJAN verdict, so the
-        # pre-failure-isolation contract (raise) is preserved here.
+    def test_raise_on_failure_is_strict_about_failed_sessions(self):
+        # Table I and the ablation score summaries directly; a FAILED stub
+        # with an empty capture would masquerade as a TROJAN verdict, so
+        # their unscored sweeps raise instead of returning the row.
         from repro.experiments.scenario import AttackDef, register_attack
 
         snapshot = dict(ATTACKS)
@@ -294,20 +293,37 @@ class TestSweepEngine:
                     trojan_id="T999",
                 )
             )
+            sweep = run_sweep(
+                [
+                    ScenarioSpec(
+                        name="broken@tiny",
+                        part="tiny",
+                        attack="broken-for-strict",
+                        detectors=(),
+                        noise_sigma=0.0,
+                    )
+                ]
+            )
+            assert sweep.outcomes[0].failed and sweep.outcomes[0].verdicts == {}
             with pytest.raises(ReproError, match="T999"):
-                run_scenarios(
-                    [
-                        ScenarioSpec(
-                            name="broken@tiny",
-                            part="tiny",
-                            attack="broken-for-strict",
-                            noise_sigma=0.0,
-                        )
-                    ]
-                )
+                sweep.raise_on_failure()
         finally:
             ATTACKS.clear()
             ATTACKS.update(snapshot)
+
+    def test_runs_a_compiled_plan(self, small_grid, sweep):
+        plan = compile_sweep(small_grid)
+        again = run_sweep(plan, cache=GoldenPrintCache())
+        def rows(result):
+            return [
+                {name: v.as_dict() for name, v in o.verdicts.items()}
+                for o in result.outcomes
+            ]
+
+        assert rows(again) == rows(sweep)
+        assert again.sessions_total == plan.sessions_total == sweep.sessions_total
+        with pytest.raises(ReproError, match="fast_path=False"):
+            run_sweep(plan, fast_path=False)
 
     def test_second_sweep_with_same_cache_dir_resimulates_zero_goldens(
         self, small_grid, tmp_path_factory

@@ -35,7 +35,7 @@ import pytest
 import repro
 from repro.experiments.batch import SessionCache
 from repro.experiments.report import render_csv
-from repro.experiments.scenario import run_sweep
+from repro.experiments.scenario import compile_sweep, grid_scenarios, run_sweep
 from tests.conftest import corrupt_file
 from repro.service import (
     DONE,
@@ -241,18 +241,31 @@ def test_failed_jobs_never_satisfy_dedup(service_env, tmp_path):
 def test_submission_key_tracks_content(tiny_grid):
     from dataclasses import replace
 
-    base = submission_key(tiny_grid)
-    assert base == submission_key(list(tiny_grid))  # stable
-    assert submission_key([replace(tiny_grid[0], margin=0.2), tiny_grid[1]]) != base
-    assert submission_key([replace(tiny_grid[0], seed=7), tiny_grid[1]]) != base
-    assert submission_key(tiny_grid, fast_path=False) != base
+    def key(scenarios, fast_path=True):
+        return submission_key(compile_sweep(scenarios, fast_path=fast_path))
+
+    base = key(tiny_grid)
+    assert base == key(list(tiny_grid))  # stable
+    assert key([replace(tiny_grid[0], margin=0.2), tiny_grid[1]]) != base
+    assert key([replace(tiny_grid[0], seed=7), tiny_grid[1]]) != base
+    assert key(tiny_grid, fast_path=False) != base
 
 
-def test_job_compiles_each_scenario_twice(service_env, tmp_path, monkeypatch):
-    """``submit`` compiles once for the key and the session count, the sweep
-    once more; a deduped resubmit only compiles for the key."""
+def test_smoke_grid_submission_keys_are_pinned():
+    # A moved key silently disables dedup against every stored job.
+    smoke = grid_scenarios("smoke")
+    assert submission_key(compile_sweep(smoke)) == (
+        "ccc810fc7c269274b08d54b5550e1639a8c7f1912e12858f16ead6d3c889dd6c"
+    )
+    assert submission_key(compile_sweep(smoke, fast_path=False)) == (
+        "5771ac5bd3eeac08386cda769cd396685c30912c2d0e93278b297f25e1f6359a"
+    )
+
+
+def test_job_compiles_each_scenario_once(service_env, tmp_path, monkeypatch):
+    """``submit`` compiles one plan for the key, the session count and the
+    sweep; a deduped resubmit compiles only for the key."""
     import repro.experiments.scenario as scenario_mod
-    import repro.service.jobs as jobs_mod
 
     payload = service_env["payload"]
     scenarios = len(payload["scenarios"])
@@ -268,13 +281,12 @@ def test_job_compiles_each_scenario_twice(service_env, tmp_path, monkeypatch):
         cache=service_env["cache_dir"],
         background=False,
     )
-    key = submission_key(parse_submission(payload).scenarios)
-    monkeypatch.setattr(jobs_mod, "compile_scenario", counting)
+    key = submission_key(compile_sweep(parse_submission(payload).scenarios))
     monkeypatch.setattr(scenario_mod, "compile_scenario", counting)
 
     job, created = manager.submit(payload)
     assert created and job["state"] == DONE
-    assert len(compiled) == 2 * scenarios
+    assert len(compiled) == scenarios
     assert job["sessions_total"] == service_env["sessions"]
     assert job["submission_key"] == key
 
