@@ -22,6 +22,7 @@ from repro.electronics.uart import UartBus, unpack_step_counts
 from repro.errors import CaptureError
 
 COLUMNS = ("X", "Y", "Z", "E")
+_COLUMN_FIELDS = {"X": "x", "Y": "y", "Z": "z", "E": "e"}
 
 
 @dataclass(frozen=True)
@@ -37,7 +38,7 @@ class Transaction:
 
     def value(self, column: str) -> int:
         try:
-            return {"X": self.x, "Y": self.y, "Z": self.z, "E": self.e}[column.upper()]
+            return getattr(self, _COLUMN_FIELDS[column.upper()])
         except KeyError:
             raise CaptureError(f"unknown column {column!r}") from None
 

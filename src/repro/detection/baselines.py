@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -40,6 +40,10 @@ from repro.detection.comparator import step_matrix
 from repro.errors import DetectionError
 
 _TWOPI = 2.0 * math.pi  # random.gauss's constant
+
+# Suspects are observed under ``model.seed`` plus this: a distinct print
+# draws independent channel noise.
+SUSPECT_SEED_OFFSET = 7
 
 
 @dataclass(frozen=True)
@@ -80,27 +84,75 @@ def activity_profiles(
     return dict(zip(COLUMNS, _activity_matrix(transactions).T.tolist()))
 
 
-def _gauss_stream(seed: int, count: int) -> np.ndarray:
-    """The first ``count`` values of ``random.Random(seed).gauss(0.0, 1.0)``.
+def _box_muller(bits: int, pairs: int) -> np.ndarray:
+    """The ``2 * pairs`` gauss values made from ``bits``, a ``getrandbits(128 * pairs)``.
 
-    Bit for bit: one ``getrandbits`` call yields the Mersenne Twister words
-    in draw order, two words make each ``random()`` exactly as CPython does
-    (``((a >> 5) * 2**26 + (b >> 6)) / 2**53``), and each pair of uniforms
-    makes a Box-Muller pair. The log, cos and sin go through :mod:`math`, so
-    libm rounds them as it does for ``gauss``; the rest is IEEE arithmetic
-    numpy performs identically.
+    Bit for bit what ``random.gauss(0.0, 1.0)`` returns: the little-endian
+    words of ``bits`` are the Mersenne Twister words in draw order, two
+    words make each ``random()`` exactly as CPython does (``((a >> 5) *
+    2**26 + (b >> 6)) / 2**53``), and each pair of uniforms makes a
+    Box-Muller pair. The log, cos and sin go through :mod:`math`, so libm
+    rounds them as it does for ``gauss`` (numpy's own round some values
+    differently); the rest is IEEE arithmetic numpy performs identically.
     """
-    pairs = (count + 1) // 2
-    bits = random.Random(seed).getrandbits(128 * pairs)
     words = np.frombuffer(bits.to_bytes(16 * pairs, "little"), dtype="<u4")
     words = words.astype(np.uint64).reshape(-1, 2)
     uniforms = ((words[:, 0] >> 5) << 26 | words[:, 1] >> 6) * 2.0**-53
     angle = (uniforms[0::2] * _TWOPI).tolist()
-    radius = np.sqrt(-2.0 * np.array(list(map(math.log, (1.0 - uniforms[1::2]).tolist()))))
+    logs = np.fromiter(map(math.log, (1.0 - uniforms[1::2]).tolist()), float, pairs)
+    radius = np.sqrt(-2.0 * logs)
     normals = np.empty((pairs, 2))
-    normals[:, 0] = np.array(list(map(math.cos, angle))) * radius
-    normals[:, 1] = np.array(list(map(math.sin, angle))) * radius
-    return normals.ravel()[:count]
+    normals[:, 0] = np.fromiter(map(math.cos, angle), float, pairs) * radius
+    normals[:, 1] = np.fromiter(map(math.sin, angle), float, pairs) * radius
+    return normals.ravel()
+
+
+class _GaussStream:
+    """``random.Random(seed).gauss(0.0, 1.0)``'s values, drawn only as far as asked.
+
+    Bit for bit (see :func:`_box_muller`), and shared by prefix: each value
+    depends only on its own pair of words, and ``getrandbits`` of a
+    multiple of 32 bits leaves the generator exactly after the words it
+    used, so growing the stream draws only the new pairs and appends them.
+    ``prefix(m)`` of a stream grown to any length equals ``prefix(m)`` of
+    a fresh one, for odd and even ``m``, so :class:`SideChannelDetector`
+    keeps one stream per seed and slices it for every observation.
+    """
+
+    def __init__(self, seed: int) -> None:
+        self._rng = random.Random(seed)
+        self._values = np.empty(0)
+
+    def prefix(self, count: int) -> np.ndarray:
+        """The first ``count`` values (a view: do not write to it)."""
+        missing = count - len(self._values)
+        if missing > 0:
+            pairs = (missing + 1) // 2
+            fresh = _box_muller(self._rng.getrandbits(128 * pairs), pairs)
+            self._values = np.concatenate((self._values, fresh))
+        return self._values[:count]
+
+
+def _observe_matrix(
+    transactions: Sequence[Transaction], model: SideChannelModel, stream: _GaussStream
+) -> np.ndarray:
+    """:func:`observe` as a (motor, window) float64 matrix.
+
+    ``stream`` is the ``model.seed`` stream; its prefix of motors × windows
+    × repetitions draws is the noise.
+    """
+    activity = _activity_matrix(transactions).T  # (motor, window)
+    reps = model.repetitions
+    sigma = activity * model.noise_fraction
+    sigma = np.where(sigma > model.noise_floor, sigma, model.noise_floor)
+    noise = stream.prefix(activity.size * reps).reshape(*activity.shape, reps)
+    readings = activity[..., None] + (0.0 + noise * sigma[..., None])
+    total = np.zeros_like(activity)
+    for rep in range(reps):  # in order: float addition does not reassociate
+        total += readings[..., rep]
+    quantised = np.rint(total / reps / model.quantization_steps) * model.quantization_steps
+    # A plain np.maximum(0.0, ...) would keep -0.0; the scalar max() gives +0.0.
+    return np.where(quantised > 0.0, quantised, 0.0)
 
 
 def observe(
@@ -113,22 +165,13 @@ def observe(
     the power-signature detection the paper discusses. The noise is the
     ``random.Random(model.seed).gauss`` stream, drawn motor by motor (X, Y,
     Z, E), window by window, repetition by repetition; the vectorised
-    arithmetic below repeats the scalar loop's operations in its order, so
-    every value is bit-identical to it.
+    arithmetic repeats the scalar loop's operations in its order, so every
+    value is bit-identical to it. Observations under one seed read prefixes
+    of one shared stream (see :class:`_GaussStream`), so a longer capture's
+    noise begins with a shorter one's.
     """
-    activity = _activity_matrix(transactions).T  # (motor, window)
-    reps = model.repetitions
-    sigma = activity * model.noise_fraction
-    sigma = np.where(sigma > model.noise_floor, sigma, model.noise_floor)
-    noise = _gauss_stream(model.seed, activity.size * reps).reshape(*activity.shape, reps)
-    readings = activity[..., None] + (0.0 + noise * sigma[..., None])
-    total = np.zeros_like(activity)
-    for rep in range(reps):  # in order: float addition does not reassociate
-        total += readings[..., rep]
-    quantised = np.rint(total / reps / model.quantization_steps) * model.quantization_steps
-    # A plain np.maximum(0.0, ...) would keep -0.0; the scalar max() gives +0.0.
-    clamped = np.where(quantised > 0.0, quantised, 0.0)
-    return dict(zip(COLUMNS, clamped.tolist()))
+    matrix = _observe_matrix(transactions, model, _GaussStream(model.seed))
+    return dict(zip(COLUMNS, matrix.tolist()))
 
 
 @dataclass
@@ -162,6 +205,10 @@ class SideChannelDetector:
     channel's own noise — calibrate with :meth:`calibrate_threshold` on two
     clean observations — which is exactly why this baseline cannot reach the
     margins the lossless counts allow.
+
+    The detector keeps one noise stream per seed for its lifetime, drawn
+    only as far as its longest capture needs; every observation reads a
+    prefix of it, bit-identical to drawing afresh (:class:`_GaussStream`).
     """
 
     def __init__(
@@ -173,6 +220,7 @@ class SideChannelDetector:
         self.model = model
         self.threshold = threshold
         self.min_activity = min_activity
+        self._streams: Dict[int, _GaussStream] = {}
 
     def _with_seed(self, seed: int) -> SideChannelModel:
         return SideChannelModel(
@@ -183,6 +231,16 @@ class SideChannelDetector:
             seed,
         )
 
+    def observe(
+        self, transactions: Sequence[Transaction], seed_offset: int = 0
+    ) -> np.ndarray:
+        """:func:`observe` under ``model.seed + seed_offset`` as a (motor, window) matrix."""
+        model = self._with_seed(self.model.seed + seed_offset)
+        stream = self._streams.get(model.seed)
+        if stream is None:
+            stream = self._streams[model.seed] = _GaussStream(model.seed)
+        return _observe_matrix(transactions, model, stream)
+
     def calibrate_threshold(
         self,
         golden: Sequence[Transaction],
@@ -190,10 +248,7 @@ class SideChannelDetector:
         headroom: float = 1.5,
     ) -> float:
         """Set the threshold from the clean-vs-clean observation noise."""
-        worst, _ = self._worst_diff(
-            observe(golden, self.model),
-            observe(control, self._with_seed(self.model.seed + 1)),
-        )
+        _, _, worst, _ = self._diff_stats(self.observe(golden), self.observe(control, 1))
         self.threshold = worst * headroom
         return self.threshold
 
@@ -201,25 +256,19 @@ class SideChannelDetector:
         self,
         golden: Sequence[Transaction],
         suspect: Sequence[Transaction],
-        suspect_seed_offset: int = 7,
+        suspect_seed_offset: int = SUSPECT_SEED_OFFSET,
     ) -> SideChannelReport:
-        golden_obs = observe(golden, self.model)
-        suspect_obs = observe(suspect, self._with_seed(self.model.seed + suspect_seed_offset))
-        compared = min(len(golden_obs["X"]), len(suspect_obs["X"]))
-        anomalous = 0
-        largest = 0.0
-        worst_channel = ""
-        for column in COLUMNS:
-            for g, s in zip(
-                golden_obs[column][:compared], suspect_obs[column][:compared]
-            ):
-                if g < self.min_activity:
-                    continue
-                diff = abs(s - g) / g
-                if diff > largest:
-                    largest, worst_channel = diff, column
-                if diff > self.threshold:
-                    anomalous += 1
+        return self.compare_observed(
+            self.observe(golden), self.observe(suspect, suspect_seed_offset)
+        )
+
+    def compare_observed(
+        self, golden_obs: np.ndarray, suspect_obs: np.ndarray
+    ) -> SideChannelReport:
+        """:meth:`compare` on two :meth:`observe` matrices."""
+        compared, anomalous, largest, worst_channel = self._diff_stats(
+            golden_obs, suspect_obs
+        )
         return SideChannelReport(
             windows_compared=compared,
             anomalous_windows=anomalous,
@@ -228,14 +277,27 @@ class SideChannelDetector:
             worst_channel=worst_channel,
         )
 
-    def _worst_diff(self, golden_obs, suspect_obs) -> tuple:
-        worst = 0.0
-        channel = ""
-        for column in COLUMNS:
-            for g, s in zip(golden_obs[column], suspect_obs[column]):
-                if g < self.min_activity:
-                    continue
-                diff = abs(s - g) / g
-                if diff > worst:
-                    worst, channel = diff, column
-        return worst, channel
+    def _diff_stats(
+        self, golden_obs: np.ndarray, suspect_obs: np.ndarray
+    ) -> Tuple[int, int, float, str]:
+        """``(windows compared, anomalous count, largest diff, its channel)``.
+
+        Over the common window prefix, windows where the golden reads below
+        ``min_activity`` are skipped; the rest give ``|s - g| / g``. The
+        largest is the first maximum in channel-then-window order, and
+        ``(0.0, "")`` when no diff is above 0 — what a loop updating on a
+        strict ``>`` from 0.0 finds.
+        """
+        compared = min(golden_obs.shape[1], suspect_obs.shape[1])
+        golden = golden_obs[:, :compared]
+        active = golden >= self.min_activity
+        diffs = np.zeros_like(golden)
+        np.divide(np.abs(suspect_obs[:, :compared] - golden), golden, out=diffs, where=active)
+        anomalous = int(np.count_nonzero(active & (diffs > self.threshold)))
+        if not diffs.size:
+            return compared, anomalous, 0.0, ""
+        worst = int(diffs.argmax())  # row-major: the first maximum in loop order
+        largest = diffs.flat[worst].item()
+        if not largest > 0.0:
+            return compared, anomalous, 0.0, ""
+        return compared, anomalous, largest, COLUMNS[worst // compared]

@@ -14,7 +14,15 @@ them as interchangeable entries:
   session summary, then ``score`` any number of suspect summaries;
 * four adapters covering the existing detection strategies;
 * :data:`DETECTOR_CLASSES` / :func:`make_detector` — the registry the
-  scenario layer resolves detector names through.
+  scenario layer resolves detector names through;
+* :class:`ScoreSpec` — the picklable scoring recipe a sweep job carries.
+
+Detection is a golden-model comparison: many suspects are judged against
+one trusted print. A scoring pass (one sweep, one worker shard, one
+coordinator's local scoring) therefore fits each detector once per golden
+and scores every suspect of that golden with it, through the pass's
+:data:`FittedDetectors` table. The table is made and dropped by the pass,
+never kept at module level.
 
 Detectors consume :class:`~repro.experiments.batch.SessionSummary` duck-typed
 (anything with ``capture``/``transactions``/``trace``/plant fields works), so
@@ -35,7 +43,11 @@ from typing import (
     runtime_checkable,
 )
 
-from repro.detection.baselines import SideChannelDetector, SideChannelModel
+from repro.detection.baselines import (
+    SUSPECT_SEED_OFFSET,
+    SideChannelDetector,
+    SideChannelModel,
+)
 from repro.detection.comparator import DEFAULT_MARGIN, CaptureComparator
 from repro.detection.realtime import StreamingDetector
 from repro.errors import DetectionError
@@ -165,7 +177,7 @@ class GoldenComparisonDetector(_FittedMixin):
                 detail="suspect produced no transactions (print never started)",
                 report=self._empty_suspect_report(),
             )
-        report = self.comparator.compare_captures(self.golden.capture, suspect.capture)
+        report = self.comparator.compare(self.golden.transactions, suspect.transactions)
         return Verdict(
             detector=self.name,
             trojan_likely=report.trojan_likely,
@@ -265,7 +277,12 @@ class RealtimeDetector(_FittedMixin):
 
 
 class SideChannelBaselineDetector(_FittedMixin):
-    """The emulated lossy side-channel (prior-work baseline) as a Detector."""
+    """The emulated lossy side-channel (prior-work baseline) as a Detector.
+
+    The golden is observed once per fit, at the first suspect scored, and
+    every suspect reads a prefix of the detector's one suspect-seed noise
+    stream, so a fitted instance scores a golden group without redrawing.
+    """
 
     name = "sidechannel"
 
@@ -281,6 +298,12 @@ class SideChannelBaselineDetector(_FittedMixin):
             threshold=threshold,
             min_activity=min_activity,
         )
+        self._golden_obs = None
+
+    def fit(self, golden):
+        super().fit(golden)
+        self._golden_obs = None
+        return self
 
     def score(self, suspect) -> Verdict:
         if not suspect.transactions:
@@ -290,7 +313,11 @@ class SideChannelBaselineDetector(_FittedMixin):
                 score=100.0,
                 detail="suspect produced no transactions (print never started)",
             )
-        report = self.detector.compare(self.golden.transactions, suspect.transactions)
+        if self._golden_obs is None:
+            self._golden_obs = self.detector.observe(self.golden.transactions)
+        report = self.detector.compare_observed(
+            self._golden_obs, self.detector.observe(suspect.transactions, SUSPECT_SEED_OFFSET)
+        )
         return Verdict(
             detector=self.name,
             trojan_likely=report.trojan_likely,
@@ -412,6 +439,39 @@ def make_detector(name: str, **params) -> Detector:
     return cls(**params)
 
 
+FittedDetectors = Dict[Tuple[str, str, Tuple[Tuple[str, Any], ...]], Detector]
+"""One scoring pass's fitted detectors, keyed (golden ``spec_key``, name, params).
+
+Made empty by whoever runs the pass (a sweep, a worker shard, a
+coordinator's local scoring) and dropped with it: never kept at module
+level, so every pass fits its goldens afresh, as a new process would.
+"""
+
+
+def _fitted_detector(
+    name: str,
+    params: Tuple[Tuple[str, Any], ...],
+    golden,
+    fitted: Optional[FittedDetectors] = None,
+) -> Detector:
+    """The detector ``name(**params)`` fitted on ``golden``, once per pass.
+
+    With a ``fitted`` table, goldens that share a ``spec_key`` (one content
+    key, so one simulated outcome) share one fitted detector; a golden
+    without a key, or a call without a table, fits a fresh one. Sharing is
+    safe because scoring never changes what a fitted detector answers for
+    the next suspect.
+    """
+    key = getattr(golden, "spec_key", "")
+    if fitted is None or not key:
+        return make_detector(name, **dict(params)).fit(golden)
+    slot = (key, name, params)
+    detector = fitted.get(slot)
+    if detector is None:
+        detector = fitted[slot] = make_detector(name, **dict(params)).fit(golden)
+    return detector
+
+
 @dataclass(frozen=True)
 class ScoreSpec:
     """A picklable recipe for scoring one suspect against one golden.
@@ -423,6 +483,8 @@ class ScoreSpec:
     runs, :meth:`score_pair` instantiates through the same
     :func:`make_detector` registry the serial sweep uses, so worker-side
     verdicts are identical to coordinator-side ones by construction.
+    Within one scoring pass each detector is fitted once per golden
+    (:func:`_fitted_detector`), however many suspects share that golden.
     """
 
     entries: Tuple[Tuple[str, Tuple[Tuple[str, Any], ...]], ...]
@@ -445,8 +507,15 @@ class ScoreSpec:
             entries.append((name, params))
         return cls(entries=tuple(entries))
 
-    def score_pair(self, golden, suspect) -> Dict[str, Verdict]:
-        """Fit every detector on ``golden`` and score ``suspect``.
+    def score_pair(
+        self, golden, suspect, fitted: Optional[FittedDetectors] = None
+    ) -> Dict[str, Verdict]:
+        """Score ``suspect`` with every detector fitted on ``golden``.
+
+        ``fitted`` is the scoring pass's :data:`FittedDetectors` table: the
+        detectors of a golden already fitted in this pass are reused, and
+        those fitted here are added to it. Without a table each detector is
+        fitted afresh. The verdicts are the same either way.
 
         A FAILED session (its *execution* raised; duck-typed via
         ``.failed``/``.error``) cannot be fitted or scored: each detector
@@ -471,6 +540,6 @@ class ScoreSpec:
                     detail=f"not scored: {side} session failed ({error})",
                 )
             else:
-                detector = make_detector(name, **dict(params))
-                verdicts[name] = detector.fit(golden).score(suspect)
+                detector = _fitted_detector(name, params, golden, fitted)
+                verdicts[name] = detector.score(suspect)
         return verdicts

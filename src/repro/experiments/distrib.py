@@ -70,7 +70,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.detection.protocol import ScoreSpec, Verdict
+from repro.detection.protocol import FittedDetectors, ScoreSpec, Verdict
 from repro.errors import ReproError
 from repro.experiments.batch import (
     BatchRunner,
@@ -182,18 +182,23 @@ class ScenarioVerdicts:
 
 
 def _score_job(
-    job: ScenarioJob, golden: SessionSummary, suspect: SessionSummary
+    job: ScenarioJob,
+    golden: SessionSummary,
+    suspect: SessionSummary,
+    fitted: FittedDetectors,
 ) -> ScenarioVerdicts:
     """Score one job's sessions into the wire row shape.
 
     The same call runs worker-side (fresh summaries) and coordinator-side
     (cache-served summaries), so where a scenario happens to be scored can
-    never change its verdicts. Reports are stripped eagerly: rows must
+    never change its verdicts. ``fitted`` is the calling pass's table (one
+    shard, or one coordinator's local scoring), so jobs sharing a golden
+    share its fitted detectors. Reports are stripped eagerly: rows must
     carry exactly what the wire carries.
     """
     verdicts = {
         name: verdict.without_report()
-        for name, verdict in job.score.score_pair(golden, suspect).items()
+        for name, verdict in job.score.score_pair(golden, suspect, fitted).items()
     }
     return ScenarioVerdicts(
         index=job.index,
@@ -418,13 +423,14 @@ class Worker:
         specs = [spec for job in jobs for spec in (job.golden, job.suspect)]
         executed = self.runner.run(specs, progress=self._beat)
         rows: List[ScenarioVerdicts] = []
+        fitted: FittedDetectors = {}
         for job, golden, suspect in zip(jobs, executed[0::2], executed[1::2]):
             # Scoring a big shard takes real wall clock after the last
             # session completes; keep beating so the coordinator's
             # staleness window stays bounded by one scenario, not one
             # shard.
             self.work.beat(self.worker_id)
-            rows.append(_score_job(job, golden, suspect))
+            rows.append(_score_job(job, golden, suspect, fitted))
         result = ShardResult(
             shard_id=claim.shard.shard_id,
             worker_id=self.worker_id,
@@ -559,16 +565,19 @@ class Coordinator:
 
         rows: Dict[int, ScenarioVerdicts] = {}
         remote: List[ScenarioJob] = []
+        fitted: FittedDetectors = {}
         for job in jobs:
             if available(job.golden) and available(job.suspect):
                 golden, suspect = load(job.golden), load(job.suspect)
                 if golden is not None and suspect is not None:
-                    rows[job.index] = _score_job(job, golden, suspect)
+                    rows[job.index] = _score_job(job, golden, suspect, fitted)
                     continue
             remote.append(job)
         # The scored summaries have served their purpose; release this
-        # frame's references (the cache keeps its own memo per its policy).
+        # frame's references (the cache keeps its own memo per its policy),
+        # the fitted detectors' goldens included.
         loaded.clear()
+        fitted.clear()
 
         host_stats: List[Dict[str, Any]] = []
         requeues = 0
@@ -615,7 +624,7 @@ class Coordinator:
                 runner = BatchRunner(workers=self.workers, cache=self.cache)
                 for job in missing:
                     golden, suspect = runner.run([job.golden, job.suspect])
-                    rows[job.index] = _score_job(job, golden, suspect)
+                    rows[job.index] = _score_job(job, golden, suspect, fitted)
         return ScoredResult(
             rows=[rows[job.index] for job in jobs],
             host_stats=host_stats,

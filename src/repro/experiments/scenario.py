@@ -38,7 +38,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.detection.protocol import ScoreSpec, Verdict
+from repro.detection.protocol import FittedDetectors, ScoreSpec, Verdict
 from repro.errors import ReproError
 from repro.experiments.batch import (
     CacheOption,
@@ -725,10 +725,15 @@ def run_sweep(
         )
         # Scored through the job's ScoreSpec, the recipe a distribution
         # worker would receive; a FAILED session becomes a non-detection
-        # verdict carrying its failure text, never a stack trace.
+        # verdict carrying its failure text, never a stack trace. Each
+        # golden's detectors are fitted once for this sweep.
+        fitted: FittedDetectors = {}
         outcomes = [
             ScenarioOutcome(
-                scenario, golden, suspect, job.score.score_pair(golden, suspect)
+                scenario,
+                golden,
+                suspect,
+                job.score.score_pair(golden, suspect, fitted),
             )
             for scenario, job, golden, suspect in zip(
                 plan.scenarios, plan.jobs, summaries[0::2], summaries[1::2]

@@ -18,8 +18,9 @@ delivered in bulk through :meth:`~repro.sim.signals.StepWire.pulse_batch`.
 Every consumer on the wire must declare itself batch-capable for the
 window's pulse count; anything that needs per-step granularity (an endstop
 the run would cross, a travel-limit clamp, the armed tracker's first-step
-sync, a Trojan without a batch handler, a plain test tap) vetoes the batch
-and that step dispatches precisely. Chunks never span a pending kernel
+sync, a Trojan without a batch handler, a plain test tap) vetoes the batch;
+the longest approved prefix of the window's steps still goes in bulk, and
+the vetoing step dispatches precisely. Chunks never span a pending kernel
 event — counting the FPGA's propagation delay on an intercepted STEP wire —
 never outrun ``Simulator.run``'s window, and the final step of a block is
 always precise, so aborts and block-done chaining keep their exact
@@ -59,6 +60,22 @@ _DIR_SETTLE_NS = 2 * US  # DIR→STEP setup time honoured at block start
 # single bulk event can run ahead of anything a test or module might
 # schedule next when the queue is otherwise quiet.
 FAST_CHUNK_MAX_NS = 100 * MS
+
+
+def _last_approved(approved: int, vetoed: int, ready: Callable[[int], bool]) -> int:
+    """The largest ``n`` in ``[approved, vetoed)`` that ``ready`` approves.
+
+    ``ready(vetoed)`` is false, and ``ready`` approves every ``n`` below one
+    it approves (``approved`` itself counts as approved), so bisection
+    finds the boundary.
+    """
+    while vetoed - approved > 1:
+        middle = (approved + vetoed) // 2
+        if ready(middle):
+            approved = middle
+        else:
+            vetoed = middle
+    return approved
 
 
 class StepperExecutor:
@@ -337,9 +354,12 @@ class StepperExecutor:
         ``run`` bound, at :data:`FAST_CHUNK_MAX_NS`, and always before the
         block's final step. Where a STEP wire is intercepted, its pulses
         land downstream ``latency_ns`` late, and the window ends that much
-        earlier. If the window is empty or any wire consumer vetoes bulk
-        delivery, exactly one step dispatches precisely and the next
-        scheduling decision tries again.
+        earlier. If a wire consumer vetoes the window (an endstop the run
+        would trip, for one), the largest approved prefix of its step
+        events goes in bulk instead (:meth:`_approved_end`), and the next
+        chunk starts at the vetoing step. If the window is empty or its
+        first step is vetoed, exactly one step dispatches precisely and the
+        next scheduling decision tries again.
         """
         block = self._block
         if block is None:
@@ -353,26 +373,16 @@ class StepperExecutor:
         if before is not None:
             i1 = min(i1, int(abs_times.searchsorted(before, side="left")))
         i1 = min(i1, n - 1)
-
+        if i1 > i0:
+            spans = self._spans(i0, i1)
+            if not self._ready(spans):
+                i1 = self._approved_end(i0, i1)
+                spans = self._spans(i0, i1)
         if i1 <= i0:
             self._emit_step()
             return
 
         width = self.config.step_pulse_width_ns
-        # The pulses before event i number cumulative[i], which is also where
-        # i falls in the axis's sorted pulse indices: [lo, hi) is the span.
-        spans = []
-        for axis, indices in self._pulse_idx.items():
-            cumulative = self._pulse_cum[axis]
-            lo = int(cumulative[i0])
-            hi = int(cumulative[i1])
-            if hi > lo:
-                spans.append((axis, indices, lo, hi))
-        for axis, _indices, lo, hi in spans:
-            if not self._step_wires[axis].batch_ready(hi - lo):
-                self._emit_step()
-                return
-
         for axis, indices, lo, hi in spans:
             times = abs_times[indices[lo:hi]]
             self._step_wires[axis].pulse_batch(times, width)
@@ -380,6 +390,45 @@ class StepperExecutor:
             self.steps_emitted[axis] += pulses if block.steps[axis] > 0 else -pulses
         self._index = i1
         self._schedule_next()
+
+    def _spans(self, i0: int, i1: int):
+        """``(axis, pulse indices, lo, hi)`` for each axis pulsing in events [i0, i1).
+
+        The pulses before event i number cumulative[i], which is also where
+        i falls in the axis's sorted pulse indices: [lo, hi) is the span.
+        """
+        spans = []
+        for axis, indices in self._pulse_idx.items():
+            cumulative = self._pulse_cum[axis]
+            lo = int(cumulative[i0])
+            hi = int(cumulative[i1])
+            if hi > lo:
+                spans.append((axis, indices, lo, hi))
+        return spans
+
+    def _ready(self, spans) -> bool:
+        """Whether every STEP wire's consumers approve their span in bulk."""
+        return all(
+            self._step_wires[axis].batch_ready(hi - lo) for axis, _indices, lo, hi in spans
+        )
+
+    def _approved_end(self, i0: int, i1: int) -> int:
+        """The end of the longest approved run of events [i0, end), given [i0, i1) vetoed.
+
+        Ready checks approve every shorter run of one they approve, and an
+        event prefix only shortens each axis's run, so the approved ends
+        form a prefix of [i0, i1) and bisection finds the last. The first
+        event is tried alone before bisecting, so a consumer that vetoes
+        every batch costs one extra check per precise step. ``i0`` means
+        not even the first event is approved.
+        """
+
+        def ready(end: int) -> bool:
+            return self._ready(self._spans(i0, end))
+
+        if i1 - i0 == 1 or not ready(i0 + 1):
+            return i0
+        return _last_approved(i0 + 1, i1, ready)
 
     def _finish_block(self) -> None:
         block = self._block
@@ -478,14 +527,7 @@ class StepperExecutor:
             count = min(count, -(-(before - now) // interval_ns))
         if count < 2 or wire.batch_ready(count):
             return count
-        approved, vetoed = 0, count
-        while vetoed - approved > 1:
-            middle = (approved + vetoed) // 2
-            if wire.batch_ready(middle):
-                approved = middle
-            else:
-                vetoed = middle
-        return approved
+        return _last_approved(0, count, wire.batch_ready)
 
     # ------------------------------------------------------------------
     def abort(self) -> None:

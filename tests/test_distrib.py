@@ -308,6 +308,26 @@ class TestWorker:
         ]
         assert result.sessions == 3  # shared golden executed once
 
+    def test_shard_sharing_a_golden_scores_like_serial(self, spec, tmp_path):
+        """Both jobs are scored by one fitted detector set per golden; each
+        row still equals scoring its job alone, in-process."""
+        work = WorkDir(str(tmp_path / "work"))
+        golden = spec(label="shared/golden")
+        detectors = ("golden", "realtime", "sidechannel", "quality")
+        jobs = (
+            _job(0, spec, golden=golden, detectors=detectors),
+            _job(1, spec, golden=golden, detectors=detectors, trojan_id="T2"),
+        )
+        work.enqueue(WorkShard(0, jobs=jobs))
+        assert Worker(work, worker_id="w1", idle_timeout_s=0.0).run() == 1
+        result, _ = work.load_result(0)
+        assert result.sessions == 3
+        assert [row.verdicts["quality"].trojan_likely for row in result.rows] == [
+            False,
+            True,
+        ]
+        _assert_rows_match_local(result.rows, jobs)
+
     def test_shared_failed_golden_counts_as_one_failure(self, spec, tmp_path):
         work = WorkDir(str(tmp_path / "work"))
         jobs = tuple(
@@ -329,6 +349,10 @@ class TestWorker:
         result, _ = work.load_result(0)
         assert all(row.golden.failed for row in result.rows)
         assert result.failures == 1  # one failed session, not one per row
+        for row in result.rows:  # every job sharing it still gets its row
+            assert row.verdicts["golden"].detail.startswith(
+                "not scored: golden session failed"
+            )
 
     def test_crashing_spec_becomes_failed_summary_not_dead_worker(
         self, spec, tmp_path

@@ -570,6 +570,31 @@ class TestSessionEquivalence:
         assert fast_offered == precise_offered
         assert len(fast_offered) == fast.board.events_intercepted - fast.trojan.pulses_masked > 0
 
+    def test_vetoed_window_batches_its_approved_prefix(self, tiny_program):
+        # A consumer on X_STEP that takes at most 3 pulses per batch: each
+        # vetoed window still sends the steps it approves in bulk, and the
+        # session and every X pulse time still match the precise run.
+        def run(fast_path):
+            session = PrintSession(tiny_program, fast_path=fast_path)
+            times, batches = [], []
+
+            def batch(_wire, ts, _width):
+                times.extend(ts.tolist())
+                batches.append(len(ts))
+
+            session.harness.upstream("X_STEP").on_pulse(
+                lambda _wire, t, _width: times.append(t),
+                batch=batch,
+                ready=lambda count: count <= 3,
+            )
+            return session.run(), times, batches
+
+        (precise, precise_times, _), (fast, fast_times, batches) = run(False), run(True)
+        assert _observables(precise) == _observables(fast)
+        assert fast_times == precise_times
+        assert max(batches) == 3
+        assert sum(batches) > len(fast_times) // 2
+
     def test_t6_thermal_kill(self, tiny_program):
         precise, fast = _pair(
             tiny_program, trojan_id="T6", trojan_seed=42, grace_s=5.0

@@ -219,6 +219,101 @@ class TestDetectorProtocol:
         assert "Trojan likely!" in report.render()
 
 
+class TestFittedDetectors:
+    """One fitted detector per golden scores a whole golden group."""
+
+    @pytest.fixture(scope="class")
+    def golden_and_suspects(self, tiny_golden_noisy, tiny_control_noisy):
+        import dataclasses
+
+        from repro.core.capture import Transaction
+        from repro.experiments.batch import summarize_result
+
+        golden = summarize_result(tiny_golden_noisy, spec_key="golden-key")
+        control = summarize_result(tiny_control_noisy, spec_key="control-key")
+        txns = control.transactions
+        last = txns[-1]
+        overrun = [
+            Transaction(last.index + k, last.x + 300 * k, last.y, last.z, last.e + 90 * k)
+            for k in range(1, 25)
+        ]
+        suspects = [
+            control,
+            dataclasses.replace(control, transactions=txns[: len(txns) // 3]),
+            dataclasses.replace(control, transactions=txns + overrun),
+            dataclasses.replace(control, transactions=txns[:2]),
+        ]
+        assert len({len(s.transactions) for s in suspects}) == len(suspects)
+        return golden, suspects
+
+    @staticmethod
+    def _same(verdict, fresh):
+        assert verdict.without_report() == fresh.without_report()
+        assert repr(verdict.score) == repr(fresh.score)
+        if verdict.detector in ("golden", "sidechannel"):
+            assert verdict.report == fresh.report
+
+    @pytest.mark.parametrize("name", ["golden", "realtime", "sidechannel", "quality"])
+    @pytest.mark.parametrize("order", ["as_listed", "longest_first", "shortest_first"])
+    def test_one_fit_scores_like_fresh_fits(self, golden_and_suspects, name, order):
+        golden, suspects = golden_and_suspects
+        if order != "as_listed":
+            suspects = sorted(
+                suspects,
+                key=lambda s: len(s.transactions),
+                reverse=order == "longest_first",
+            )
+        fitted = make_detector(name).fit(golden)
+        for suspect in suspects:
+            fresh = make_detector(name).fit(golden).score(suspect)
+            self._same(fitted.score(suspect), fresh)
+        # Refitted on another golden, it forgets the first one.
+        refit_golden, suspect = suspects[0], suspects[1]
+        fresh = make_detector(name).fit(refit_golden).score(suspect)
+        self._same(fitted.fit(refit_golden).score(suspect), fresh)
+
+    def test_pass_table_fits_each_golden_once(self, golden_and_suspects):
+        from repro.detection.protocol import ScoreSpec
+
+        golden, suspects = golden_and_suspects
+        names = ("golden", "realtime", "sidechannel", "quality")
+        specs = (ScoreSpec.for_detectors(names), ScoreSpec.for_detectors(names, margin=0.0))
+        fitted = {}
+        for suspect in suspects:
+            for spec in specs:
+                shared = spec.score_pair(golden.relabeled("another label"), suspect, fitted)
+                fresh = spec.score_pair(golden, suspect)
+                assert shared.keys() == fresh.keys()
+                for name in shared:
+                    self._same(shared[name], fresh[name])
+        # One fit per (golden, detector, params): the margin is a param of
+        # golden and realtime only.
+        assert sorted(key[:2] for key in fitted) == [
+            ("golden-key", name)
+            for name in ("golden", "golden", "quality", "realtime", "realtime", "sidechannel")
+        ]
+
+    def test_shared_failed_golden_is_not_scored_for_every_job(
+        self, golden_and_suspects
+    ):
+        from repro.detection.protocol import ScoreSpec
+        from repro.experiments.batch import SessionSpec, failure_summary
+
+        _, suspects = golden_and_suspects
+        failed = failure_summary(
+            SessionSpec(program=part_program("tiny")), RuntimeError("boom")
+        )
+        spec = ScoreSpec.for_detectors(("golden", "sidechannel"))
+        fitted = {}
+        for suspect in suspects[:2]:
+            verdicts = spec.score_pair(failed, suspect, fitted)
+            assert set(verdicts) == {"golden", "sidechannel"}
+            for verdict in verdicts.values():
+                assert not verdict.trojan_likely
+                assert verdict.detail == "not scored: golden session failed (RuntimeError: boom)"
+        assert fitted == {}
+
+
 @pytest.mark.slow
 class TestSweepEngine:
     @pytest.fixture(scope="class")

@@ -1,20 +1,27 @@
 """Vectorised scorers against their scalar reference loops, bit for bit.
 
-The side-channel observation, the transaction comparator and the layer
-builder walk numpy arrays. Each must return exactly what the object-walking
-loop it replaced returned; those loops are kept here as the reference.
-Outputs are compared by ``repr``, so a lost sign of zero (``-0.0`` vs
-``0.0``), a reordered sum or a reordered mismatch list fails, where ``==``
-would let the first pass.
+The side-channel noise stream, observation and window comparison, the
+transaction comparator and the layer builder walk numpy arrays. Each must
+return exactly what the object-walking loop it replaced returned; those
+loops are kept here as the reference. Outputs are compared by ``repr``, so
+a lost sign of zero (``-0.0`` vs ``0.0``), a reordered sum or a reordered
+mismatch list fails, where ``==`` would let the first pass.
 """
 
 import math
 import random
 
+import numpy as np
 import pytest
 
 from repro.core.capture import COLUMNS, Transaction
-from repro.detection.baselines import SideChannelModel, activity_profiles, observe
+from repro.detection.baselines import (
+    SideChannelDetector,
+    SideChannelModel,
+    _GaussStream,
+    activity_profiles,
+    observe,
+)
 from repro.detection.comparator import CaptureComparator, Mismatch
 from repro.detection.report import DetectionReport
 from repro.physics.deposition import LayerStats, PartTrace, TraceSample
@@ -49,6 +56,33 @@ def ref_observe(transactions, model):
             channel.append(max(0.0, quantised))
         observed[column] = channel
     return observed
+
+
+def ref_gauss(seed, count):
+    rng = random.Random(seed)
+    return [rng.gauss(0.0, 1.0) for _ in range(count)]
+
+
+def ref_side_channel_diffs(golden_obs, suspect_obs, threshold, min_activity):
+    """The side-channel window comparison as the double loop it was.
+
+    Returns ``(windows compared, anomalous count, largest diff, its
+    channel)``; the largest alone is what threshold calibration read.
+    """
+    compared = min(len(golden_obs["X"]), len(suspect_obs["X"]))
+    anomalous = 0
+    largest = 0.0
+    worst_channel = ""
+    for column in COLUMNS:
+        for g, s in zip(golden_obs[column][:compared], suspect_obs[column][:compared]):
+            if g < min_activity:
+                continue
+            diff = abs(s - g) / g
+            if diff > largest:
+                largest, worst_channel = diff, column
+            if diff > threshold:
+                anomalous += 1
+    return compared, anomalous, largest, worst_channel
 
 
 def ref_compare(comparator, golden, suspect):
@@ -196,6 +230,133 @@ class TestObserveMatchesScalarLoop:
     def test_activity_profiles_match(self):
         txns = _capture(random.Random(7), 50)
         assert repr(activity_profiles(txns)) == repr(ref_activity_profiles(txns))
+
+
+class TestGaussStreamPrefixes:
+    @pytest.mark.parametrize("count", [1, 2, 7, 8, 33])
+    def test_every_prefix_is_the_gauss_loop(self, count):
+        for seed in (0, 7, 12345):
+            expected = ref_gauss(seed, count)
+            stream = _GaussStream(seed)
+            stream.prefix(count)
+            for m in range(count + 1):  # odd and even prefixes
+                assert repr(stream.prefix(m).tolist()) == repr(expected[:m])
+                assert repr(_GaussStream(seed).prefix(m).tolist()) == repr(expected[:m])
+
+    def test_growing_draws_continue_the_loop(self):
+        # Grown by odd and even steps, shrinking requests in between.
+        stream = _GaussStream(3)
+        for count in (1, 4, 2, 9, 10, 3, 31):
+            assert repr(stream.prefix(count).tolist()) == repr(ref_gauss(3, count))
+
+
+# ----------------------------------------------------------------------
+# Side-channel window comparison
+# ----------------------------------------------------------------------
+
+
+def _report_fields(report):
+    return (
+        report.windows_compared,
+        report.anomalous_windows,
+        report.largest_relative_diff,
+        report.worst_channel,
+    )
+
+
+def _observation(rng, windows):
+    """Readings from a few levels, so equal diffs (tied maxima) are common."""
+    levels = (0.0, 10.0, 40.0, 50.0, 60.0, 100.0, 150.0, 200.0)
+    return {column: [rng.choice(levels) for _ in range(windows)] for column in COLUMNS}
+
+
+def _matrix(observation):
+    return np.array([observation[column] for column in COLUMNS]).reshape(len(COLUMNS), -1)
+
+
+class TestSideChannelCompareMatchesDoubleLoop:
+    @pytest.mark.parametrize("case", CASES)
+    def test_random_observations(self, case):
+        rng = random.Random(4000 + case)
+        golden = _observation(rng, rng.randint(1, 12))
+        suspect = _observation(rng, rng.randint(1, 12))
+        detector = SideChannelDetector(
+            threshold=rng.choice((0.0, 0.3, 1.0)),
+            min_activity=rng.choice((1.0, 50.0, 150.0)),
+        )
+        report = detector.compare_observed(_matrix(golden), _matrix(suspect))
+        expected = ref_side_channel_diffs(
+            golden, suspect, detector.threshold, detector.min_activity
+        )
+        assert repr(_report_fields(report)) == repr(expected)
+
+    @pytest.mark.parametrize(
+        "golden, suspect, expected",
+        [
+            # Y and E tie at 0.5: the first channel in loop order wins.
+            ({"X": [10.0], "Y": [100.0], "Z": [0.0], "E": [200.0]},
+             {"X": [90.0], "Y": [150.0], "Z": [70.0], "E": [100.0]},
+             (1, 2, 0.5, "Y")),
+            # A tie within one channel keeps its first window.
+            ({"X": [100.0, 100.0], "Y": [0.0, 0.0], "Z": [0.0, 0.0], "E": [0.0, 0.0]},
+             {"X": [50.0, 150.0], "Y": [0.0, 0.0], "Z": [0.0, 0.0], "E": [0.0, 0.0]},
+             (2, 2, 0.5, "X")),
+            # No diff above 0: no channel.
+            ({"X": [100.0], "Y": [60.0], "Z": [0.0], "E": [0.0]},
+             {"X": [100.0], "Y": [60.0], "Z": [500.0], "E": [0.0]},
+             (1, 0, 0.0, "")),
+            # Every golden window idle: masked out entirely.
+            ({"X": [10.0, 0.0], "Y": [0.0, 0.0], "Z": [0.0, 0.0], "E": [49.0, 0.0]},
+             {"X": [900.0], "Y": [900.0], "Z": [900.0], "E": [900.0]},
+             (1, 0, 0.0, "")),
+        ],
+    )
+    def test_ties_and_masking(self, golden, suspect, expected):
+        detector = SideChannelDetector(threshold=0.3, min_activity=50.0)
+        report = detector.compare_observed(_matrix(golden), _matrix(suspect))
+        assert _report_fields(report) == expected
+        assert expected == ref_side_channel_diffs(golden, suspect, 0.3, 50.0)
+
+    @pytest.mark.parametrize("case", range(20))
+    def test_compare_on_captures_of_several_lengths(self, case):
+        # One detector, suspects longer and shorter than each other: every
+        # report equals the loop over freshly drawn observations.
+        rng = random.Random(5000 + case)
+        model = _model(rng, rng.choice((10.0, 1.0)))
+        detector = SideChannelDetector(
+            model=model, threshold=rng.choice((0.1, 0.3)), min_activity=20.0
+        )
+        golden = _capture(rng, rng.randint(1, 30))
+        suspect_model = SideChannelModel(
+            model.noise_fraction, model.noise_floor, model.quantization_steps,
+            model.repetitions, model.seed + 7,
+        )
+        for length in (rng.randint(1, 40), rng.randint(1, 40), rng.randint(1, 40)):
+            suspect = _perturbed(rng, _capture(rng, length))
+            report = detector.compare(golden, suspect)
+            expected = ref_side_channel_diffs(
+                ref_observe(golden, model),
+                ref_observe(suspect, suspect_model),
+                detector.threshold,
+                detector.min_activity,
+            )
+            assert repr(_report_fields(report)) == repr(expected)
+
+    def test_calibration_reads_the_loop_maximum(self):
+        rng = random.Random(6000)
+        model = _model(rng, 1.0)
+        golden, control = _capture(rng, 25), _capture(rng, 20)
+        detector = SideChannelDetector(model=model, min_activity=20.0)
+        threshold = detector.calibrate_threshold(golden, control, headroom=1.5)
+        control_model = SideChannelModel(
+            model.noise_fraction, model.noise_floor, model.quantization_steps,
+            model.repetitions, model.seed + 1,
+        )
+        _, _, worst, _ = ref_side_channel_diffs(
+            ref_observe(golden, model), ref_observe(control, control_model),
+            0.0, 20.0,
+        )
+        assert repr(threshold) == repr(worst * 1.5)
 
 
 # ----------------------------------------------------------------------
